@@ -8,6 +8,8 @@
 //
 //   flashsim_cli [options]
 //     --trace=PATH            replay a trace file instead of generating
+//                             (exits 1, naming the first malformed line,
+//                             if the trace has one)
 //     --arch=naive|lookaside|unified
 //     --ram-policy=POL --flash-policy=POL      (s a p1 p5 p15 p30 n)
 //     --policy=lru|fifo|clock|slru|lruk        replacement policy zoo
@@ -377,6 +379,12 @@ int main(int argc, char** argv) {
       sim.set_read_latency_series(series.get());
     }
     metrics = sim.Run(*source);
+    if (source->error_line() != 0) {
+      std::fprintf(stderr, "%s: malformed trace record at line %llu\n",
+                   options.trace_path.c_str(),
+                   static_cast<unsigned long long>(source->error_line()));
+      return 1;
+    }
     telemetry = sim.TakeTelemetry();
   } else {
     const ExperimentResult result = RunExperiment(options.params);

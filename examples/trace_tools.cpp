@@ -6,7 +6,7 @@
 //   trace_tools generate <path> [--binary] [--ws-mib=N] [--write-pct=N]
 //   trace_tools convert <csv> <out> [--binary]      (SNIA/MSR block CSV)
 //   trace_tools stats <path>
-//   trace_tools replay <path>
+//   trace_tools replay <path>     (exits 1 on a trace with a malformed line)
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -139,6 +139,11 @@ int Replay(const std::string& path) {
   config.flash_bytes = 64 * kMiB;
   Simulation sim(config);
   const Metrics m = sim.Run(*source);
+  if (source->error_line() != 0) {
+    std::fprintf(stderr, "%s: malformed trace record at line %llu\n", path.c_str(),
+                 static_cast<unsigned long long>(source->error_line()));
+    return 1;
+  }
   std::printf("replayed %llu operations in %.3f simulated seconds\n",
               static_cast<unsigned long long>(m.trace_records),
               static_cast<double>(m.end_time) / 1e9);

@@ -21,6 +21,7 @@
 #include "src/trace/record.h"
 #include "src/util/assert.h"
 #include "src/util/flat_hash.h"
+#include "src/util/huge_alloc.h"
 
 namespace flashsim {
 
@@ -215,7 +216,7 @@ class LruBlockCache {
   uint64_t ram_slots_ = 0;
   ReplacementPolicy replacement_ = ReplacementPolicy::kLru;
   std::unique_ptr<EvictionPolicy> policy_;
-  std::vector<Slot> slots_;
+  std::vector<Slot, HugePageAllocator<Slot>> slots_;  // huge-page backed when large
   FlatHashMap<uint32_t> index_;
   uint32_t lru_head_ = kInvalidSlot;  // MRU end
   uint32_t lru_tail_ = kInvalidSlot;  // LRU end

@@ -18,7 +18,6 @@
 #define FLASHSIM_SRC_TRACE_CODEC_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 
 #include "src/trace/record.h"
@@ -80,8 +79,50 @@ enum class TextLineResult {
   kMalformed,  // counts against error_line reporting, then skipped
 };
 
+// scanf's whitespace set in the "C" locale: space, \t \n \v \f \r.
+inline bool IsTraceTextSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+inline bool IsTraceTextDigit(char c) { return c >= '0' && c <= '9'; }
+
+// One scanf "%llu" conversion: skips whitespace, takes an optional sign and
+// then decimal digits, and converts the way strtoull does — a '-' negates
+// modulo 2^64 and a magnitude above 2^64-1 saturates to 2^64-1 whatever the
+// sign. Returns false (a matching failure) when no digit follows.
+inline bool ScanTraceTextU64(const char** cursor, unsigned long long* out) {
+  const char* p = *cursor;
+  while (IsTraceTextSpace(*p)) {
+    ++p;
+  }
+  const bool negative = *p == '-';
+  if (*p == '-' || *p == '+') {
+    ++p;
+  }
+  if (!IsTraceTextDigit(*p)) {
+    return false;
+  }
+  // Up to 19 digits cannot overflow; only longer numbers pay for the check.
+  const char* const digits = p;
+  unsigned long long value = 0;
+  for (; IsTraceTextDigit(*p) && p - digits < 19; ++p) {
+    value = value * 10 + static_cast<unsigned>(*p - '0');
+  }
+  bool overflow = false;
+  for (; IsTraceTextDigit(*p); ++p) {
+    const unsigned digit = static_cast<unsigned>(*p - '0');
+    overflow = overflow || value > (~0ULL - digit) / 10;
+    value = value * 10 + digit;  // wraps once overflowed; then unused
+  }
+  *out = overflow ? ~0ULL : negative ? 0ULL - value : value;
+  *cursor = p;
+  return true;
+}
+
 // Parses one text-format line (as delivered by an fgets-style read: at most
-// 255 chars plus NUL, newline included when it fit).
+// 255 chars plus NUL, newline included when it fit). Accepts exactly what
+// sscanf(" %c %llu %llu %llu %llu %llu %7s") accepts, field for field: the op
+// is the first non-space char whatever follows it ("R12 0 1 2 3" is host
+// 12), and a record is a warmup one when the next token after the count
+// starts with 'w'. tests/trace_fuzz_test.cc holds it to that sscanf call.
 inline TextLineResult ParseTraceTextLine(const char* line, TraceRecord* record) {
   const char* p = line;
   while (*p == ' ' || *p == '\t') {
@@ -90,20 +131,31 @@ inline TextLineResult ParseTraceTextLine(const char* line, TraceRecord* record) 
   if (*p == '\0' || *p == '\n' || *p == '#') {
     return TextLineResult::kSkip;
   }
-  char op_char = 0;
+  while (IsTraceTextSpace(*p)) {
+    ++p;
+  }
+  const char op_char = *p;
+  if (op_char == '\0') {
+    return TextLineResult::kMalformed;
+  }
+  ++p;
   unsigned long long host = 0;
   unsigned long long thread = 0;
   unsigned long long file_id = 0;
   unsigned long long block = 0;
   unsigned long long count = 0;
-  char warm[8] = {0};
-  const int n = std::sscanf(p, " %c %llu %llu %llu %llu %llu %7s", &op_char, &host, &thread,
-                            &file_id, &block, &count, warm);
-  const bool op_ok = op_char == 'R' || op_char == 'W' || op_char == 'r' || op_char == 'w';
-  if (n < 6 || !op_ok || count == 0 || count > 0xffffffffULL || host > 0xffff ||
-      thread > 0xffff || file_id > kMaxFileId || block > kMaxBlockInFile ||
-      block + count - 1 > kMaxBlockInFile) {
+  if (!ScanTraceTextU64(&p, &host) || !ScanTraceTextU64(&p, &thread) ||
+      !ScanTraceTextU64(&p, &file_id) || !ScanTraceTextU64(&p, &block) ||
+      !ScanTraceTextU64(&p, &count)) {
     return TextLineResult::kMalformed;
+  }
+  const bool op_ok = op_char == 'R' || op_char == 'W' || op_char == 'r' || op_char == 'w';
+  if (!op_ok || count == 0 || count > 0xffffffffULL || host > 0xffff || thread > 0xffff ||
+      file_id > kMaxFileId || block > kMaxBlockInFile || block + count - 1 > kMaxBlockInFile) {
+    return TextLineResult::kMalformed;
+  }
+  while (IsTraceTextSpace(*p)) {
+    ++p;
   }
   record->op = (op_char == 'W' || op_char == 'w') ? TraceOp::kWrite : TraceOp::kRead;
   record->host = static_cast<uint16_t>(host);
@@ -111,7 +163,7 @@ inline TextLineResult ParseTraceTextLine(const char* line, TraceRecord* record) 
   record->file_id = static_cast<uint32_t>(file_id);
   record->block = block;
   record->block_count = static_cast<uint32_t>(count);
-  record->warmup = n == 7 && warm[0] == 'w';
+  record->warmup = *p == 'w';
   return TextLineResult::kRecord;
 }
 

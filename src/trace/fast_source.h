@@ -50,7 +50,7 @@ class MmapTraceSource : public TraceSource {
   uint64_t SizeHint() const override { return num_records_; }
 
   uint64_t records_read() const { return records_read_; }
-  uint64_t error_line() const { return error_line_; }
+  uint64_t error_line() const override { return error_line_; }
 
  private:
   MmapTraceSource(void* map, size_t map_size, size_t num_records);
@@ -82,7 +82,7 @@ class BufferedTextTraceSource : public TraceSource {
   void Rewind() override;
 
   uint64_t records_read() const { return records_read_; }
-  uint64_t error_line() const { return error_line_; }
+  uint64_t error_line() const override { return error_line_; }
 
  private:
   explicit BufferedTextTraceSource(std::FILE* file);

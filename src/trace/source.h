@@ -26,6 +26,12 @@ class TraceSource {
   // Optional upper-bound estimate of how many records the stream will
   // yield, so consumers can pre-size per-thread backlogs; 0 = unknown.
   virtual uint64_t SizeHint() const { return 0; }
+
+  // Where the first malformed entry the stream skipped was: its line number
+  // in a text trace, its record number in a binary one; 0 if none so far.
+  // Replay front ends check it after the run and refuse to report metrics
+  // from a partly parsed trace.
+  virtual uint64_t error_line() const { return 0; }
 };
 
 // In-memory source, mainly for tests and tiny examples.

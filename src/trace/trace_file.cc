@@ -1,5 +1,6 @@
 #include "src/trace/trace_file.h"
 
+#include <charconv>
 #include <cstring>
 
 #include "src/trace/codec.h"
@@ -135,10 +136,27 @@ void TraceFileWriter::Write(const TraceRecord& record) {
     EncodeTraceRecord(record, buf);
     std::fwrite(buf, 1, kBinaryRecordSize, file_);
   } else {
-    std::fprintf(file_, "%c %u %u %u %llu %u%s\n",
-                 record.op == TraceOp::kWrite ? 'W' : 'R', record.host, record.thread,
-                 record.file_id, static_cast<unsigned long long>(record.block),
-                 record.block_count, record.warmup ? " w" : "");
+    // "<R|W> <host> <thread> <file> <block> <count>[ w]\n", formatted by hand:
+    // a uint64_t takes at most 20 digits, so a line is at most 1 + 5 * 21 + 3
+    // bytes.
+    char line[112];
+    char* p = line;
+    *p++ = record.op == TraceOp::kWrite ? 'W' : 'R';
+    const auto put = [&p](uint64_t value) {
+      *p++ = ' ';
+      p = std::to_chars(p, p + 20, value).ptr;
+    };
+    put(record.host);
+    put(record.thread);
+    put(record.file_id);
+    put(record.block);
+    put(record.block_count);
+    if (record.warmup) {
+      *p++ = ' ';
+      *p++ = 'w';
+    }
+    *p++ = '\n';
+    std::fwrite(line, 1, static_cast<size_t>(p - line), file_);
   }
   ++records_written_;
 }

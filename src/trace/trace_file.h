@@ -41,8 +41,7 @@ class FileTraceSource : public TraceSource {
 
   TraceFormat format() const { return format_; }
   uint64_t records_read() const { return records_read_; }
-  // Line number of the first malformed text line, or 0 if none seen.
-  uint64_t error_line() const { return error_line_; }
+  uint64_t error_line() const override { return error_line_; }
 
  private:
   FileTraceSource(std::FILE* file, TraceFormat format, long data_offset);

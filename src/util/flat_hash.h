@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/util/assert.h"
+#include "src/util/huge_alloc.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -220,7 +221,7 @@ class FlatHashMap {
 
   void Rehash(size_t new_capacity) {
     FLASHSIM_CHECK((new_capacity & (new_capacity - 1)) == 0);
-    std::vector<Slot> old = std::move(slots_);
+    SlotVector old = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
     mask_ = new_capacity - 1;
     size_ = 0;
@@ -231,7 +232,11 @@ class FlatHashMap {
     }
   }
 
-  std::vector<Slot> slots_;
+  // Large tables get huge-page backing (src/util/huge_alloc.h): the cache
+  // index and directory are probed at random offsets on every access.
+  using SlotVector = std::vector<Slot, HugePageAllocator<Slot>>;
+
+  SlotVector slots_;
   size_t mask_ = 0;
   size_t size_ = 0;
   uint64_t growth_rehashes_ = 0;

@@ -4,7 +4,10 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "src/util/huge_alloc.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -150,6 +153,62 @@ TEST(FlatHashMap, ReserveDoesNotLoseEntries) {
     map.Insert(k + 1000, static_cast<int>(k));
   }
   EXPECT_EQ(map.size(), 1001u);
+}
+
+TEST(HugePageAllocator, OnlyLargeArraysAreRoundedAndAligned) {
+  EXPECT_EQ(HugePageRoundedBytes(1000), 1000u);
+  EXPECT_EQ(HugePageRoundedBytes(kHugePageThreshold - 1), kHugePageThreshold - 1);
+  EXPECT_EQ(HugePageRoundedBytes(kHugePageThreshold), kHugePageThreshold);
+  EXPECT_EQ(HugePageRoundedBytes(kHugePageThreshold + 1), kHugePageThreshold + kHugePageBytes);
+
+  using HugeVector = std::vector<uint64_t, HugePageAllocator<uint64_t>>;
+  for (const size_t n : {kHugePageThreshold / sizeof(uint64_t),
+                         kHugePageThreshold / sizeof(uint64_t) + 3,
+                         3 * kHugePageBytes / sizeof(uint64_t) + 1}) {
+    HugeVector big(n, 7);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(big.data()) % kHugePageBytes, 0u) << n;
+    big.front() = 1;
+    big.back() = 2;  // the whole requested range is usable
+    EXPECT_EQ(big[n / 2], 7u);
+  }
+  HugeVector small(1000, 3);  // plain operator new; sanitizers check the pairing
+  small.back() = 4;
+  EXPECT_EQ(small.front(), 3u);
+}
+
+TEST(FlatHashMap, RehashAcrossHugePageThresholdKeepsEntries) {
+  // 24-byte slots: 2^17 of them (3 MiB) sit below the huge-page threshold
+  // and 2^18 (6 MiB) above, so growth to 200000 entries rehashes from
+  // operator-new storage into huge-page storage and then between two
+  // huge-page tables.
+  constexpr uint64_t kEntries = 200000;
+  FlatHashMap<uint64_t> map;
+  for (uint64_t k = 0; k < kEntries; ++k) {
+    map.Insert(k * 0x9e3779b97f4a7c15ULL, k);
+  }
+  EXPECT_GE(map.growth_rehashes(), 2u);
+  ASSERT_EQ(map.size(), kEntries);
+  for (uint64_t k = 0; k < kEntries; ++k) {
+    const uint64_t* v = map.Find(k * 0x9e3779b97f4a7c15ULL);
+    ASSERT_NE(v, nullptr) << k;
+    ASSERT_EQ(*v, k);
+  }
+
+  // The other direction: a huge-page table hands its storage to a small
+  // one and takes the small one's, and each is freed by the path that
+  // allocated it.
+  FlatHashMap<uint64_t> small;
+  small.Insert(1, 11);
+  std::swap(map, small);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(*map.Find(1), 11u);
+  ASSERT_EQ(small.size(), kEntries);
+  EXPECT_EQ(*small.Find((kEntries - 1) * 0x9e3779b97f4a7c15ULL), kEntries - 1);
+  small = FlatHashMap<uint64_t>();
+  EXPECT_TRUE(small.empty());
+  map.Reserve(kEntries);  // small -> huge again, keeping the entry
+  EXPECT_EQ(*map.Find(1), 11u);
+  EXPECT_EQ(map.growth_rehashes(), 0u);
 }
 
 }  // namespace

@@ -191,6 +191,32 @@ TEST(LruCache, ForEachIteratesMruToLru) {
   EXPECT_EQ(order, (std::vector<BlockKey>{3, 2, 1}));
 }
 
+TEST(LruCache, CapacitySizedHugePageCacheNeverRehashes) {
+  // 300000 slots: the slot array and the index both sit above the
+  // huge-page threshold (src/util/huge_alloc.h). Filling the cache and
+  // cycling a quarter of it through must never rehash the index.
+  constexpr uint64_t kSlots = 300000;
+  LruBlockCache cache("big", kSlots / 2, kSlots / 2);
+  uint64_t wrong_evictions = 0;
+  for (uint64_t key = 0; key < kSlots + kSlots / 4; ++key) {
+    std::optional<EvictedBlock> evicted;
+    ASSERT_NE(cache.Insert(key, key % 3 == 0, &evicted), kInvalidSlot);
+    const bool expect_eviction = key >= kSlots;
+    if (evicted.has_value() != expect_eviction ||
+        (expect_eviction &&
+         (evicted->key != key - kSlots || evicted->dirty != (evicted->key % 3 == 0)))) {
+      ++wrong_evictions;
+    }
+  }
+  EXPECT_EQ(wrong_evictions, 0u);
+  EXPECT_EQ(cache.size(), kSlots);
+  EXPECT_EQ(cache.index_rehashes(), 0u);
+  for (uint64_t key = kSlots / 4; key < kSlots + kSlots / 4; ++key) {
+    ASSERT_NE(cache.Lookup(key), kInvalidSlot) << key;
+  }
+  cache.CheckInvariants();
+}
+
 TEST(LruCache, RandomizedAgainstReferenceLru) {
   // Reference model: std::list as LRU order + map for dirty state.
   constexpr uint64_t kCapacity = 64;

@@ -81,6 +81,51 @@ TEST_F(TraceFileTest, TextRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST_F(TraceFileTest, TextWriterMatchesPrintfFormat) {
+  // The writer formats lines by hand; they must be byte-identical to the
+  // "%c %u %u %u %llu %u%s\n" printf format the text trace was defined by,
+  // at the extremes of every field as well as on ordinary records.
+  std::vector<TraceRecord> records = SampleRecords(200);
+  TraceRecord zero;
+  zero.block_count = 0;
+  TraceRecord max;
+  max.op = TraceOp::kWrite;
+  max.warmup = true;
+  max.host = UINT16_MAX;
+  max.thread = UINT16_MAX;
+  max.file_id = UINT32_MAX;
+  max.block = UINT64_MAX;
+  max.block_count = UINT32_MAX;
+  records.push_back(zero);
+  records.push_back(max);
+  const std::string path = TempPath("format.trace");
+  std::string error;
+  auto writer = TraceFileWriter::Create(path, TraceFormat::kText, &error);
+  ASSERT_NE(writer, nullptr) << error;
+  std::string expected = "# fsim-text v1: <R|W> <host> <thread> <file> <block> <count> [w]\n";
+  for (const TraceRecord& r : records) {
+    writer->Write(r);
+    char line[128];
+    std::snprintf(line, sizeof(line), "%c %u %u %u %llu %u%s\n",
+                  r.op == TraceOp::kWrite ? 'W' : 'R', r.host, r.thread, r.file_id,
+                  static_cast<unsigned long long>(r.block), r.block_count,
+                  r.warmup ? " w" : "");
+    expected += line;
+  }
+  ASSERT_TRUE(writer->Close());
+  std::string written;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    written.append(buf, got);
+  }
+  std::fclose(f);
+  EXPECT_EQ(written, expected);
+  std::remove(path.c_str());
+}
+
 TEST_F(TraceFileTest, RewindRestartsStream) {
   const std::string path = TempPath("rewind.trace");
   const auto records = SampleRecords(10);

@@ -8,14 +8,18 @@
 //     contract: file_id <= kMaxFileId, block + count - 1 <= kMaxBlockInFile,
 //     count >= 1) — malformed rows are skipped and reported via
 //     error_line()/skipped, never half-parsed into aliasing keys;
-//   - well-formed prefixes of truncated files still parse.
+//   - well-formed prefixes of truncated files still parse;
+//   - the hand-written text parser (ParseTraceTextLine) agrees with the
+//     sscanf call it replaced on every line, malformed ones included.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "src/trace/codec.h"
 #include "src/trace/csv_import.h"
 #include "src/trace/fast_source.h"
 #include "src/trace/trace_file.h"
@@ -249,7 +253,8 @@ void ExpectSameRecords(const std::vector<TraceRecord>& a, const std::vector<Trac
 }
 
 // Streams the file through FileTraceSource and OpenTraceSource (which picks
-// the mmap or block-buffered reader) and requires identical records.
+// the mmap or block-buffered reader) and requires identical records and the
+// same first malformed line.
 void ExpectFastReaderIdentity(const std::string& path) {
   std::string error;
   auto legacy = FileTraceSource::Open(path, &error);
@@ -257,6 +262,7 @@ void ExpectFastReaderIdentity(const std::string& path) {
   auto fast = OpenTraceSource(path, &error);
   ASSERT_NE(fast, nullptr) << error;
   ExpectSameRecords(Drain(*legacy), Drain(*fast), "legacy vs fast");
+  EXPECT_EQ(legacy->error_line(), fast->error_line());
 }
 
 TEST_F(TraceFuzzTest, FastTextReaderMatchesStreamingReaderOnMutations) {
@@ -344,6 +350,229 @@ TEST_F(TraceFuzzTest, FastReadersRewindToIdenticalStreams) {
     ASSERT_EQ(first.size(), 50u);
     source->Rewind();
     ExpectSameRecords(first, Drain(*source), "buffered text rewind");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parser identity: ParseTraceTextLine against the sscanf parser it replaced,
+// kept here as the reference. Every line a reader can hand the parser — any
+// bytes, at most 255 chars, NUL-terminated — must give the same result kind
+// and, for records, the same fields; malformed and skipped lines must leave
+// the record untouched.
+
+TextLineResult ReferenceParseTraceTextLine(const char* line, TraceRecord* record) {
+  const char* p = line;
+  while (*p == ' ' || *p == '\t') {
+    ++p;
+  }
+  if (*p == '\0' || *p == '\n' || *p == '#') {
+    return TextLineResult::kSkip;
+  }
+  char op_char = 0;
+  unsigned long long host = 0;
+  unsigned long long thread = 0;
+  unsigned long long file_id = 0;
+  unsigned long long block = 0;
+  unsigned long long count = 0;
+  char warm[8] = {0};
+  const int n = std::sscanf(p, " %c %llu %llu %llu %llu %llu %7s", &op_char, &host, &thread,
+                            &file_id, &block, &count, warm);
+  const bool op_ok = op_char == 'R' || op_char == 'W' || op_char == 'r' || op_char == 'w';
+  if (n < 6 || !op_ok || count == 0 || count > 0xffffffffULL || host > 0xffff ||
+      thread > 0xffff || file_id > kMaxFileId || block > kMaxBlockInFile ||
+      block + count - 1 > kMaxBlockInFile) {
+    return TextLineResult::kMalformed;
+  }
+  record->op = (op_char == 'W' || op_char == 'w') ? TraceOp::kWrite : TraceOp::kRead;
+  record->host = static_cast<uint16_t>(host);
+  record->thread = static_cast<uint16_t>(thread);
+  record->file_id = static_cast<uint32_t>(file_id);
+  record->block = block;
+  record->block_count = static_cast<uint32_t>(count);
+  record->warmup = n == 7 && warm[0] == 'w';
+  return TextLineResult::kRecord;
+}
+
+// A record no parser produces (count 0), so an untouched one is visible.
+TraceRecord SentinelRecord() {
+  TraceRecord r;
+  r.op = TraceOp::kWrite;
+  r.warmup = true;
+  r.host = 0xabcd;
+  r.thread = 0x1234;
+  r.file_id = 0xfedcba;
+  r.block = 0x0123456789ULL;
+  r.block_count = 0;
+  return r;
+}
+
+std::string Printable(const std::string& line) {
+  std::string out;
+  for (const unsigned char c : line) {
+    if (c >= 0x20 && c < 0x7f && c != '\\') {
+      out.push_back(static_cast<char>(c));
+    } else {
+      char esc[8];
+      std::snprintf(esc, sizeof(esc), "\\x%02x", c);
+      out += esc;
+    }
+  }
+  return out;
+}
+
+// Returns the kind both parsers agree on (after EXPECTing that they agree).
+TextLineResult ExpectParsersAgree(const std::string& line, TraceRecord* parsed = nullptr) {
+  SCOPED_TRACE("line \"" + Printable(line) + "\"");
+  TraceRecord want = SentinelRecord();
+  TraceRecord got = SentinelRecord();
+  const TextLineResult want_kind = ReferenceParseTraceTextLine(line.c_str(), &want);
+  const TextLineResult got_kind = ParseTraceTextLine(line.c_str(), &got);
+  EXPECT_EQ(static_cast<int>(got_kind), static_cast<int>(want_kind));
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.warmup, want.warmup);
+  EXPECT_EQ(got.host, want.host);
+  EXPECT_EQ(got.thread, want.thread);
+  EXPECT_EQ(got.file_id, want.file_id);
+  EXPECT_EQ(got.block, want.block);
+  EXPECT_EQ(got.block_count, want.block_count);
+  if (parsed != nullptr) {
+    *parsed = got;
+  }
+  return got_kind;
+}
+
+// Splits bytes the way fgets(line, 256, file) delivers them: up to a
+// newline (kept) or 255 chars, whichever comes first.
+std::vector<std::string> FgetsChunks(const std::string& bytes) {
+  std::vector<std::string> chunks;
+  size_t pos = 0;
+  while (pos < bytes.size()) {
+    size_t end = pos;
+    while (end < bytes.size() && end - pos < 255) {
+      if (bytes[end++] == '\n') {
+        break;
+      }
+    }
+    chunks.push_back(bytes.substr(pos, end - pos));
+    pos = end;
+  }
+  return chunks;
+}
+
+// A line assembled from the pieces the parser has to get right: every
+// scanf whitespace char, signs, leading zeros, 20+-digit numbers, values at
+// and past every range limit, glued op chars, and warm-up tokens.
+std::string RandomTextLine(Rng& rng) {
+  static const char* const kSpaces[] = {" ", " ", " ", "\t", "\r", "\v", "\f", "\n", "  ", ""};
+  static const char* const kOps[] = {"R", "W", "r", "w", "x", "#", "0", "-", "RW", ""};
+  static const char* const kNumbers[] = {
+      "0", "1", "7", "-0", "+7", "-1", "+", "-", "--1", "+-1", "0x10", "00000000000000000000042",
+      "65535", "65536", "16777215", "16777216", "1099511627775", "1099511627776",
+      "4294967295", "4294967296", "18446744073709551615", "18446744073709551616",
+      "-18446744073709551615", "-18446744073709551616", "99999999999999999999999",
+      "-99999999999999999999999", "-184467440737095516150", "-184467440737095516159", "12a",
+      "1.5", "x"};
+  static const char* const kTails[] = {"", "w", "warm", "x", "wx", "W", " w", "#w", "7", "\xff"};
+  std::string line;
+  line += kSpaces[rng.NextBounded(std::size(kSpaces))];
+  line += kOps[rng.NextBounded(std::size(kOps))];
+  const uint64_t fields = rng.NextBounded(8);
+  for (uint64_t i = 0; i < fields; ++i) {
+    line += kSpaces[rng.NextBounded(std::size(kSpaces))];
+    line += rng.NextBool(0.5) ? kNumbers[rng.NextBounded(std::size(kNumbers))]
+                              : std::to_string(rng.NextBounded(1 + rng.NextBounded(4096)));
+  }
+  line += kSpaces[rng.NextBounded(std::size(kSpaces))];
+  line += kTails[rng.NextBounded(std::size(kTails))];
+  if (rng.NextBool(0.7)) {
+    line += "\n";
+  }
+  return line;
+}
+
+TEST(TraceTextParserTest, HandcraftedLinesMatchSscanf) {
+  const std::string kLong(250, ' ');
+  const std::vector<std::string> lines = {
+      "", "\n", "# comment\n", "   \t# indented comment\n", "\t\n", "\r\n", "\v\n", "\f\n",
+      "\v# hidden comment\n", "R 0 0 1 2 3\n", "W 1 2 3 4 5 w\n", "r 1 2 3 4 5\n",
+      "w 1 2 3 4 5\n", "x 1 2 3 4 5\n", "R 0 0 1 -0 +7\n", "R -0 +0 +1 -0 +1\n",
+      "R 0 0 1 0 -18446744073709551615\n", "R -18446744073709551615 0 1 0 1\n",
+      "R 0 0 1 0 -18446744073709551616\n", "R 0 0 1 0 -1\n",
+      "R 0 0 1 0 00000000000000000000000000007\n", "R 0 0 1 0 99999999999999999999\n",
+      "R 0 0 1 0 -99999999999999999999\n", "R 0 0 1 0 184467440737095516150\n",
+      "R 0 0 1 0 -184467440737095516150\n", "R 18446744073709551616 0 1 2 3\n",
+      "R 0 0 1 18446744073709551617 1\n",
+      "R\t0\t0\t1\t2\t3\n", "R\r0\r0\r1\r2\r3\r\n", "R\v0\v0\v1\v2\v3\vw\n",
+      "R\f0\f0\f1\f2\f3\fwarm\n", "\rR 0 0 1 2 3\n", "R 0 0 1 2 3\r\n", "R 0 0 1 2 3 \r w\n",
+      "R12 0 1 2 3\n", "W7 0 1 2 3 w\n", "R 0 0 1 2 3 w\n", "R 0 0 1 2 3 warm\n",
+      "R 0 0 1 2 3 x\n", "R 0 0 1 2 3w\n", "R 0 0 1 2 3 #w\n", "R 0 0 1 2 3 \xff\n",
+      "R 0 0 1 2\n", "R 0 0 1 2 +\n", "R 0 0 1 2 -\n", "R 0 0 1 2 0x3\n", "R 0 0 1 2 3.5\n",
+      "R - 0 1 2 3\n", "R 0 0 1 2 3", "R", "W 1", "R 65535 65535 16777215 1099511627775 1\n",
+      "R 65536 0 1 0 1\n", "R 0 65536 1 0 1\n", "R 0 0 16777216 0 1\n",
+      "R 0 0 1 1099511627776 1\n", "R 0 0 1 1099511627775 2\n", "R 0 0 1 0 4294967295\n",
+      "R 0 0 1 0 4294967296\n", "R 0 0 1 0 0\n",
+      // Chunked at 255 chars: the cut lands inside the record.
+      kLong + "R 0 0 1 2 3\n", (kLong + "R 0 0 1 2 3\n").substr(0, 255),
+      (kLong + "R 0 0 1 2 3\n").substr(255), std::string(255, '9'), std::string(255, ' '),
+      "R 0 0 1 2 " + std::string(245, '0'),
+  };
+  for (const std::string& line : lines) {
+    for (const std::string& chunk : FgetsChunks(line)) {
+      ExpectParsersAgree(chunk);
+    }
+  }
+  // A few exact values, so agreement is not agreement on a wrong reading.
+  TraceRecord r;
+  ASSERT_EQ(ExpectParsersAgree("R 0 0 1 -0 +7\n", &r), TextLineResult::kRecord);
+  EXPECT_EQ(r.block, 0u);
+  EXPECT_EQ(r.block_count, 7u);
+  ASSERT_EQ(ExpectParsersAgree("R 0 0 1 0 -18446744073709551615\n", &r),
+            TextLineResult::kRecord);
+  EXPECT_EQ(r.block_count, 1u);
+  ASSERT_EQ(ExpectParsersAgree("R12 0 1 2 3\n", &r), TextLineResult::kRecord);
+  EXPECT_EQ(r.host, 12u);
+  EXPECT_EQ(r.thread, 0u);
+  EXPECT_EQ(r.file_id, 1u);
+  EXPECT_EQ(r.block, 2u);
+  EXPECT_EQ(r.block_count, 3u);
+  ASSERT_EQ(ExpectParsersAgree("W\v1\f2\r3\t4 5 warm\n", &r), TextLineResult::kRecord);
+  EXPECT_EQ(r.op, TraceOp::kWrite);
+  EXPECT_TRUE(r.warmup);
+  ASSERT_EQ(ExpectParsersAgree("R 1 2 3 4 5 x\n", &r), TextLineResult::kRecord);
+  EXPECT_FALSE(r.warmup);
+  EXPECT_EQ(ExpectParsersAgree("R 0 0 1 0 99999999999999999999\n"), TextLineResult::kMalformed);
+  // Saturation happens before the sign: -(2^64-1) with one more digit is
+  // 2^64-1, not the wrapped 1 the digits seen before the overflow give.
+  EXPECT_EQ(ExpectParsersAgree("R 0 0 1 0 -184467440737095516150\n"),
+            TextLineResult::kMalformed);
+  EXPECT_EQ(ExpectParsersAgree("\v# hidden comment\n"), TextLineResult::kMalformed);
+}
+
+TEST(TraceTextParserTest, RandomLinesMatchSscanf) {
+  Rng rng(31);
+  for (int i = 0; i < 50000; ++i) {
+    ExpectParsersAgree(RandomTextLine(rng));
+    if (HasFailure()) {
+      return;  // one diverging line says enough
+    }
+  }
+}
+
+TEST(TraceTextParserTest, MutatedTraceLinesMatchSscanf) {
+  const std::string valid = ValidTextTrace(200, 32);
+  Rng rng(33);
+  for (int round = 0; round < 300; ++round) {
+    std::string bytes = Mutate(valid, rng);
+    if (round % 3 == 0) {
+      // Warm-up records and glued op chars, then mutated like the rest.
+      bytes = Mutate(bytes + "W 1 2 3 4 5 w\nR9 8 7 6 5 warm\nw 0 0 0 0 1 x\n", rng);
+    }
+    for (const std::string& chunk : FgetsChunks(bytes)) {
+      ExpectParsersAgree(chunk);
+    }
+    if (HasFailure()) {
+      return;
+    }
   }
 }
 
