@@ -226,8 +226,6 @@ inline std::vector<Sweep::AxisValue> AdmissionAxis(
   return values;
 }
 
-// Storage-backend shard counts (SimConfig::num_filers); 1 is the paper's
-// single-filer topology.
 // Coherence protocol members (DESIGN.md §15). perfect is the paper's
 // zero-cost model; directory/lease put the protocol on the network path.
 inline std::vector<Sweep::AxisValue> CoherenceAxis(const std::vector<CoherenceModel>& models) {
@@ -240,25 +238,14 @@ inline std::vector<Sweep::AxisValue> CoherenceAxis(const std::vector<CoherenceMo
   return values;
 }
 
+// Storage-backend shard counts (SimConfig::num_filers); 1 is the paper's
+// single-filer topology.
 inline std::vector<Sweep::AxisValue> FilersAxis(const std::vector<int>& counts) {
   std::vector<Sweep::AxisValue> values;
   values.reserve(counts.size());
   for (int filers : counts) {
     values.push_back({Table::Cell(static_cast<int64_t>(filers)),
                       [filers](ExperimentParams& p) { p.num_filers = filers; }});
-  }
-  return values;
-}
-
-// Partitioned-engine group counts (SimConfig::num_partitions); 1 is the
-// legacy serial engine. Any count must reproduce the serial results
-// bit-for-bit (DESIGN.md §12).
-inline std::vector<Sweep::AxisValue> PartitionsAxis(const std::vector<int>& counts) {
-  std::vector<Sweep::AxisValue> values;
-  values.reserve(counts.size());
-  for (int partitions : counts) {
-    values.push_back({Table::Cell(static_cast<int64_t>(partitions)),
-                      [partitions](ExperimentParams& p) { p.num_partitions = partitions; }});
   }
   return values;
 }

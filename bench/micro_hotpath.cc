@@ -188,119 +188,16 @@ BenchRow BenchSimulation(Architecture arch, uint64_t ops,
                   m.measured_read_blocks + m.measured_write_blocks, SecondsSince(start)};
 }
 
-// Fleet-scale rows: a 16-host RAM-hit-heavy workload (the partitioned
-// engine's certified-batch fast path) through the legacy serial engine
-// (partitions=1) and the partitioned engine at 4 queues. The two rows
-// produce identical metrics by the DESIGN.md §12 contract; the
-// items_per_sec ratio is the engine's measured speedup on this machine
-// (bounded by core count — on a 1-core runner it isolates the batching
-// overhead instead).
-BenchRow BenchPartitionedSimulation(int partitions, uint64_t ops) {
-  SimConfig config;
-  config.ram_bytes = 4096ULL * 4096;
-  config.flash_bytes = 32768ULL * 4096;
-  config.num_hosts = 16;
-  config.threads_per_host = 4;
-  config.num_partitions = partitions;
-  config.arch = Architecture::kUnified;
-  Simulation sim(config);
-  std::vector<TraceRecord> records;
-  records.reserve(ops);
-  Rng rng(7);
-  for (uint64_t i = 0; i < ops; ++i) {
-    TraceRecord r;
-    // 2% writes, hot 2048-block set shared fleet-wide: after the first
-    // pass nearly every read is a pure RAM hit the coordinator can defer.
-    r.op = rng.NextBool(0.02) ? TraceOp::kWrite : TraceOp::kRead;
-    r.host = static_cast<uint16_t>(rng.NextBounded(16));
-    r.thread = static_cast<uint16_t>(rng.NextBounded(4));
-    r.file_id = 1;
-    r.block = rng.NextBounded(2048);
-    records.push_back(r);
-  }
-  VectorTraceSource source(std::move(records));
-  const auto start = Clock::now();
-  const Metrics m = sim.Run(source);
-  char name[32];
-  std::snprintf(name, sizeof(name), "sim_fleet_p%d", partitions);
-  return BenchRow{name, m.measured_read_blocks + m.measured_write_blocks,
-                  SecondsSince(start)};
-}
-
-// Miss-heavy fleet rows (the §12 widened certified class): 16 hosts over
-// per-host private working sets 4x their RAM — most reads miss RAM into
-// the flash tier, and writes land on sole-holder resident blocks — exactly
-// the two access classes the widening added to the certified batches. The
-// p1/p4 pair produces identical metrics; their items_per_sec ratio is the
-// widening's measured payoff on a workload the pure-RAM-hit engine could
-// not batch at all. The P>1 run CHECKs that flash hits and private writes
-// actually entered parallel batches, so the row can never silently degrade
-// to the narrow engine.
-BenchRow BenchPartitionedMisses(int partitions, uint64_t ops) {
-  SimConfig config;
-  config.ram_bytes = 4096ULL * 4096;
-  config.flash_bytes = 32768ULL * 4096;
-  config.num_hosts = 16;
-  config.threads_per_host = 4;
-  config.num_partitions = partitions;
-  config.arch = Architecture::kUnified;
-  Simulation sim(config);
-  std::vector<TraceRecord> records;
-  records.reserve(ops);
-  Rng rng(7);
-  for (uint64_t i = 0; i < ops; ++i) {
-    TraceRecord r;
-    r.op = rng.NextBool(0.3) ? TraceOp::kWrite : TraceOp::kRead;
-    r.host = static_cast<uint16_t>(rng.NextBounded(16));
-    r.thread = static_cast<uint16_t>(rng.NextBounded(4));
-    r.file_id = 1;
-    // Disjoint per-host 16K-block ranges: 4x RAM (miss-heavy) and private
-    // (every cached block's host is its directory sole holder).
-    r.block = static_cast<uint64_t>(r.host) * 16384 + rng.NextBounded(16384);
-    records.push_back(r);
-  }
-  VectorTraceSource source(std::move(records));
-  const auto start = Clock::now();
-  const Metrics m = sim.Run(source);
-  const double seconds = SecondsSince(start);
-  if (partitions > 1) {
-    FLASHSIM_CHECK(m.certified_flash_batched > 0);
-    FLASHSIM_CHECK(m.certified_write_batched > 0);
-  }
-  char name[40];
-  std::snprintf(name, sizeof(name), "sim_partitioned_misses_p%d", partitions);
-  return BenchRow{name, m.measured_read_blocks + m.measured_write_blocks, seconds};
-}
-
-// Single-stream hot-read rows: 1 host x 1 thread reading a RAM-resident
-// 2048-block set. With one application thread the queue holds only the
-// distant syncer tick between op completions, so every post-warmup read
-// satisfies the serial fast path's "provably next event" gate — this is the
-// workload the inline dispatch was built for. Three rows:
-//
-//   sim_fastpath       fast path on (the default)
-//   sim_hot_eventpath  same workload, fast path off — the ratio between
-//                      these two is the measured event-loop round-trip tax
-//   sim_fastpath_telem fast path + histograms + sampler — its gap to
-//                      sim_fastpath is the batched telemetry tax
-//   sim_fastpath_slru  fast path under the SLRU plugin — its gap to
-//                      sim_fastpath is the replacement-policy virtual
-//                      dispatch tax on the certified read path (LRU keeps a
-//                      devirtualized inline branch; every other policy pays
-//                      one virtual OnHit per hit). --fastpath_gate fails
-//                      the run if that tax exceeds the given fraction.
-BenchRow BenchHotReadSimulation(const char* name, bool fast_path, uint64_t ops,
-                                const obs::TelemetryConfig& telemetry = {},
-                                ReplacementPolicy replacement = ReplacementPolicy::kLru) {
+// Single-stream hot-read row: 1 host x 1 thread reading a RAM-resident
+// 2048-block set, so every post-warmup op is one RAM hit plus one event
+// round trip — the cost floor of the event loop per simulated op.
+BenchRow BenchHotReadSimulation(uint64_t ops) {
   SimConfig config;
   config.ram_bytes = 4096ULL * 4096;
   config.flash_bytes = 32768ULL * 4096;
   config.num_hosts = 1;
   config.threads_per_host = 1;
   config.arch = Architecture::kNaive;
-  config.read_fast_path = fast_path;
-  config.replacement = replacement;
-  config.telemetry = telemetry;
   Simulation sim(config);
   std::vector<TraceRecord> records;
   records.reserve(ops);
@@ -315,7 +212,7 @@ BenchRow BenchHotReadSimulation(const char* name, bool fast_path, uint64_t ops,
   VectorTraceSource source(std::move(records));
   const auto start = Clock::now();
   const Metrics m = sim.Run(source);
-  return BenchRow{name, m.measured_read_blocks, SecondsSince(start)};
+  return BenchRow{"sim_hot_eventpath", m.measured_read_blocks, SecondsSince(start)};
 }
 
 // The telemetry-on counterpart of sim_naive: every collector armed. Its
@@ -429,23 +326,6 @@ BenchRow BenchLruTouch(uint64_t touches) {
   return BenchRow{"lru_touch", touches, SecondsSince(start)};
 }
 
-// lru_touch through LookupFast, whose index probe prefetches the slot the
-// Touch is about to dereference. Its delta against lru_touch is the
-// prefetch's worth on this machine's memory system.
-BenchRow BenchLruTouchFast(uint64_t touches) {
-  LruBlockCache cache("bench", 65536);
-  std::optional<EvictedBlock> evicted;
-  for (uint64_t k = 0; k < 65536; ++k) {
-    cache.Insert(k, false, &evicted);
-  }
-  Rng rng(2);
-  const auto start = Clock::now();
-  for (uint64_t i = 0; i < touches; ++i) {
-    cache.Touch(cache.LookupFast(rng.NextBounded(65536)));
-  }
-  return BenchRow{"lru_touch_fast", touches, SecondsSince(start)};
-}
-
 BenchRow BenchResourceAcquire(uint64_t acquires) {
   SimClock clock;
   Resource resource("bench", &clock);
@@ -527,7 +407,6 @@ int main(int argc, char** argv) {
   uint64_t ingest_records = 1000000;
   std::string baseline;
   double tolerance = 0.20;
-  double fastpath_gate = 0.0;
   flags.parser().AddUint64("events", "events per event-queue workload", &events);
   flags.parser().AddUint64("ops", "trace ops per simulation workload", &ops);
   flags.parser().AddUint64("micro-items", "iterations per component microbench",
@@ -536,10 +415,6 @@ int main(int argc, char** argv) {
                            &ingest_records);
   flags.parser().AddString("baseline", "baseline JSON to compare against", &baseline);
   flags.parser().AddDouble("tolerance", "allowed fractional regression", &tolerance);
-  flags.parser().AddDouble("fastpath_gate",
-                           "max fractional sim_fastpath_slru slowdown vs sim_fastpath "
-                           "(0 = no gate)",
-                           &fastpath_gate);
   const BenchOptions options = flags.ParseOrExit(argc, argv);
 
   Table table({"bench", "items", "wall_ms", "items_per_sec", "ns_per_item"});
@@ -550,43 +425,15 @@ int main(int argc, char** argv) {
     AddRow(&table, BenchSimulation(arch, ops));
   }
   AddRow(&table, BenchSimulationTelemetry(ops));
-  const BenchRow fastpath_lru = BenchHotReadSimulation("sim_fastpath", true, ops * 4);
-  AddRow(&table, fastpath_lru);
-  AddRow(&table, BenchHotReadSimulation("sim_hot_eventpath", false, ops * 4));
-  const BenchRow fastpath_slru = BenchHotReadSimulation("sim_fastpath_slru", true, ops * 4,
-                                                        {}, ReplacementPolicy::kSlru);
-  AddRow(&table, fastpath_slru);
-  {
-    obs::TelemetryConfig telemetry;
-    telemetry.histograms = true;
-    telemetry.sample_stride_ns = 10 * kMillisecond;
-    AddRow(&table, BenchHotReadSimulation("sim_fastpath_telem", true, ops * 4, telemetry));
-  }
-  AddRow(&table, BenchPartitionedSimulation(1, ops));
-  AddRow(&table, BenchPartitionedSimulation(4, ops));
-  AddRow(&table, BenchPartitionedMisses(1, ops));
-  AddRow(&table, BenchPartitionedMisses(4, ops));
+  AddRow(&table, BenchHotReadSimulation(ops * 4));
   for (const BenchRow& row : BenchTraceIngestAll(ingest_records)) {
     AddRow(&table, row);
   }
   AddRow(&table, BenchFlatHashFind(micro_items));
   AddRow(&table, BenchLruTouch(micro_items));
-  AddRow(&table, BenchLruTouchFast(micro_items));
   AddRow(&table, BenchResourceAcquire(micro_items));
 
   PrintTable(table, options);
-  if (fastpath_gate > 0.0) {
-    const double lru_rate = static_cast<double>(fastpath_lru.items) / fastpath_lru.seconds;
-    const double slru_rate =
-        static_cast<double>(fastpath_slru.items) / fastpath_slru.seconds;
-    const double tax = 1.0 - slru_rate / lru_rate;
-    std::fprintf(stderr, "fastpath plugin tax: slru %.0f/s vs lru %.0f/s  (%+.1f%%, gate %.0f%%)\n",
-                 slru_rate, lru_rate, -tax * 100.0, fastpath_gate * 100.0);
-    if (tax > fastpath_gate) {
-      std::fprintf(stderr, "plugin indirection exceeded the fast-path gate\n");
-      return 1;
-    }
-  }
   if (!baseline.empty()) {
     std::fprintf(stderr, "comparison against %s (tolerance %.0f%%):\n", baseline.c_str(),
                  tolerance * 100.0);

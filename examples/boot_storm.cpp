@@ -1,39 +1,21 @@
 // Scenario: Monday 9am at a 1024-seat VDI site — every desktop boots at
-// once off the same golden image, and the question is which axis keeps the
-// storm survivable: more filer shards, or more simulation partitions.
+// once off the same golden image, and the question is whether adding filer
+// shards keeps the storm survivable.
 //
-// Two different knobs are crossed here, and only one changes the answer:
+//   filers=N (SimConfig::num_filers) changes the modeled system: the boot
+//   image's misses spread over N service pools, so storm latency really
+//   drops (DESIGN.md §11).
 //
-//   filers=N (SimConfig::num_filers)     changes the MODELED system — the
-//       boot image's misses spread over N service pools, so storm latency
-//       really drops (DESIGN.md §11).
-//   partitions=P (SimConfig::num_partitions)  changes the ENGINE ONLY —
-//       the 1024 hosts are split into P event queues advanced by P worker
-//       threads, and by the §12 determinism contract every metric column
-//       must be bit-identical down a partitions block. Only wall_s and
-//       kops_s may move.
-//
-// A boot storm is the partitioned engine's best case: after each desktop
-// pulls the (small, shared) image once, the measured phase is almost pure
-// per-host RAM hits — exactly the events the coordinator certifies and
-// defers into parallel batches. The speedup column is the engine's payoff
-// on this machine (it tops out at the core count; on a 1-core box it shows
-// the batching overhead instead).
-//
-// The sweep runs on 1 harness job regardless of --jobs so that wall_s
-// times one experiment at a time — otherwise sweep workers and partition
-// workers fight for the same cores and the speedup column measures
-// contention, not the engine.
+// After each desktop pulls the (small, shared) image once, the measured
+// phase is almost pure per-host RAM hits, so the miss-heavy warmup tail is
+// where the filer count shows. wall_s and kops_s time the simulator itself
+// on this machine.
 #include <algorithm>
 #include <cstdio>
-#include <iostream>
-#include <map>
-#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/core/experiment.h"
 #include "src/harness/harness.h"
-#include "src/sim/partition.h"
 #include "src/util/table.h"
 
 using namespace flashsim;
@@ -64,71 +46,27 @@ int main(int argc, char** argv) {
   base.write_fraction = 0.0;
   base.working_set_io_fraction = 0.95;
   base.volume_multiplier = 4.0 * hosts;
-  PrintExperimentHeader("boot storm: 1024 desktops, one golden image (partitions x filers)",
-                        base);
+  PrintExperimentHeader("boot storm: 1024 desktops, one golden image (filers)", base);
   std::printf("hosts: %d x %d threads\n\n", base.hosts, base.threads_per_host);
 
-  // The partitions axis includes the CLI's `auto` sentinel, resolved
-  // against this machine (ResolveAutoPartitions) so the row shows what a
-  // hands-off run would get. The wide= axis is the certified-class A/B:
-  // off batches pure RAM hits only (pre-widening engine), on adds flash
-  // hits and sole-holder writes — identical results, different wall_s and
-  // batch occupancy.
-  std::vector<Sweep::AxisValue> partitions_axis = PartitionsAxis({1, 4, 16});
-  partitions_axis.push_back(
-      {"auto", [](ExperimentParams& p) { p.num_partitions = kAutoPartitions; }});
-  std::vector<Sweep::AxisValue> wide_axis = {
-      {"off", [](ExperimentParams& p) { p.wide_certification = false; }},
-      {"on", [](ExperimentParams& p) { p.wide_certification = true; }}};
-
   Sweep sweep(base);
-  sweep.AddAxis("filers", FilersAxis({1, 4}))
-      .AddAxis("wide", std::move(wide_axis))
-      .AddAxis("partitions", std::move(partitions_axis));
+  sweep.AddAxis("filers", FilersAxis({1, 4}));
 
-  Table table({"filers", "wide", "partitions", "read_us", "ram_hit_pct", "blocks",
-               "batch_pct", "wall_s", "kops_s", "speedup"});
-  // partitions=1 wall time per (filers, wide) block, the speedup denominator.
-  std::map<std::pair<int, bool>, double> serial_wall;
-  ParallelRunner(1).RunOrdered(
-      sweep.Expand(),
-      [](const SweepPoint& point) { return RunExperiment(point.params); },
-      [&](const SweepPoint& point, const ExperimentResult& result) {
-        const Metrics& m = result.metrics;
-        const uint64_t blocks = m.measured_read_blocks + m.measured_write_blocks;
-        const double kops = blocks / std::max(result.wall_seconds, 1e-9) / 1000.0;
-        // Batch occupancy: share of trace records the coordinator certified
-        // into parallel batches (0 on the serial engine by definition).
-        const uint64_t batched = m.certified_ram_batched + m.certified_flash_batched +
-                                 m.certified_write_batched;
-        const double batch_pct =
-            m.trace_records == 0
-                ? 0.0
-                : 100.0 * static_cast<double>(batched) / static_cast<double>(m.trace_records);
-        const std::pair<int, bool> block = {point.params.num_filers,
-                                            point.params.wide_certification};
-        if (point.params.num_partitions == 1) {
-          serial_wall[block] = result.wall_seconds;
-        }
-        const double speedup = serial_wall.count(block)
-                                   ? serial_wall[block] / std::max(result.wall_seconds, 1e-9)
-                                   : 0.0;
-        table.AddRow({point.label(0), point.label(1), point.label(2),
-                      Table::Cell(m.mean_read_us(), 2),
-                      Table::Cell(100.0 * m.ram_hit_rate(), 1), Table::Cell(blocks),
-                      Table::Cell(batch_pct, 1), Table::Cell(result.wall_seconds, 2),
-                      Table::Cell(kops, 1), Table::Cell(speedup, 2)});
-      });
+  Table table({"filers", "read_us", "ram_hit_pct", "blocks", "wall_s", "kops_s"});
+  RunSweepIntoTable(sweep, options, &table,
+                    [](const SweepPoint& point, const ExperimentResult& result) {
+                      const Metrics& m = result.metrics;
+                      const uint64_t blocks = m.measured_read_blocks + m.measured_write_blocks;
+                      const double kops = blocks / std::max(result.wall_seconds, 1e-9) / 1000.0;
+                      return std::vector<std::string>{
+                          point.label(0), Table::Cell(m.mean_read_us(), 2),
+                          Table::Cell(100.0 * m.ram_hit_rate(), 1), Table::Cell(blocks),
+                          Table::Cell(result.wall_seconds, 2), Table::Cell(kops, 1)};
+                    });
   PrintTable(table, options);
 
   std::printf(
-      "\nDown a (filers, wide) block every metric column except batch_pct\n"
-      "repeats exactly — that is the DESIGN.md S12 contract (partitions and\n"
-      "the certified-class width change wall_s, kops_s, and how much of the\n"
-      "trace gets batched, never results). batch_pct is the certified-batch\n"
-      "occupancy; wide=on lifts it by adding flash hits and sole-holder\n"
-      "writes to the certified class. Across blocks, filers=4 cuts read_us\n"
-      "during the miss-heavy warmup tail: sharding fixes the storm,\n"
-      "partitioning fixes how long you wait for the simulation of it.\n");
+      "\nfilers=4 cuts read_us during the miss-heavy warmup tail: the boot\n"
+      "image's misses queue at four filer shards instead of one.\n");
   return 0;
 }

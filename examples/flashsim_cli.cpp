@@ -17,30 +17,25 @@
 //     --ram-gib=N --flash-gib=N --ws-gib=N --filer-tib=N
 //     --hosts=N --threads=N --write-pct=N --scale=N --seed=N
 //     --filers=N --shard-strategy=hash|modulo   sharded storage backend
-//     --partitions=N|auto     partitioned engine: N host groups on N worker
-//                             threads, byte-identical to the serial engine
-//                             (auto = one per core, clamped to the hosts;
-//                             the resolved count is reported in the
-//                             configuration line and the --json output)
 //     --prefetch-pct=N        filer fast-read rate
 //     --flash-read-us=N --flash-write-us=N
 //     --flash-noise=SIGMA     mean-one lognormal flash latency noise
-//     --flash-rng=substream|legacy   noise draw keying (substream draws are
-//                             per-host and order-independent; legacy shares
-//                             one stream and disables flash/write batch
-//                             certification in the partitioned engine)
 //     --persistent            doubled flash writes (recoverable cache)
 //     --cold                  skip warmup (crashed cache)
 //     --ftl                   FTL-backed flash device (GC, erases, TRIM)
 //     --invalidation=none|async|blocking
 //     --coherence=perfect|directory|lease
 //     --series-ms=N           print a read-latency time series
+//                             (numeric flags reject NaN, infinities and
+//                             out-of-range values: exit 2, flag named)
 //     --json                  machine-readable full Metrics snapshot
 //     --stats_json=PATH       write metrics + telemetry histograms ("-" = stdout)
 //     --trace_out=PATH        write a Chrome trace_event JSON (chrome://tracing)
 //     --sample_stride=N       sample hit rates / occupancies every N sim-ms
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -65,6 +60,25 @@ struct CliOptions {
   std::string trace_out_path;
   int64_t sample_stride_ms = 0;
 };
+
+// Parses a plain decimal number and accepts it only when it is finite and in
+// [lo, hi], so no NaN, infinity or out-of-range value reaches a cast to an
+// integer duration (undefined behaviour) or a run that fails deep inside.
+bool ParseInRange(const std::string& value, double lo, double hi, double* out) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || end == nullptr || *end != '\0' || !std::isfinite(parsed) ||
+      parsed < lo || parsed > hi) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+// Largest microsecond latency whose nanosecond count fits a SimDuration.
+constexpr double kMaxLatencyUs = 9.2e15;
+// Largest millisecond count whose nanosecond count fits a SimDuration.
+constexpr double kMaxDurationMs = 9.2e12;
 
 void RegisterFlags(FlagParser& parser, CliOptions* options) {
   ExperimentParams& params = options->params;
@@ -143,70 +157,48 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
   parser.AddDouble("ws-gib", "working set GiB", &params.working_set_gib);
   parser.AddDouble("filer-tib", "file server TiB", &params.filer_tib);
   parser.AddCustom("write-pct", "N", "write percentage", [&params](const std::string& value) {
-    char* end = nullptr;
-    params.write_fraction = std::strtod(value.c_str(), &end) / 100.0;
-    return end != nullptr && *end == '\0' && !value.empty();
+    double pct = 0.0;
+    if (!ParseInRange(value, 0.0, 100.0, &pct)) {
+      return false;
+    }
+    params.write_fraction = pct / 100.0;
+    return true;
   });
   parser.AddCustom("prefetch-pct", "N", "filer fast-read rate (%)",
                    [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.filer_fast_read_rate =
-                         std::strtod(value.c_str(), &end) / 100.0;
-                     return end != nullptr && *end == '\0' && !value.empty();
+                     double pct = 0.0;
+                     if (!ParseInRange(value, 0.0, 100.0, &pct)) {
+                       return false;
+                     }
+                     params.timing.filer_fast_read_rate = pct / 100.0;
+                     return true;
                    });
   parser.AddCustom("flash-read-us", "N", "flash read latency (us)",
                    [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.flash_read_ns =
-                         static_cast<SimDuration>(std::strtod(value.c_str(), &end) * 1000.0);
-                     return end != nullptr && *end == '\0' && !value.empty();
+                     double us = 0.0;
+                     if (!ParseInRange(value, 0.0, kMaxLatencyUs, &us)) {
+                       return false;
+                     }
+                     params.timing.flash_read_ns = static_cast<SimDuration>(us * 1000.0);
+                     return true;
                    });
   parser.AddCustom("flash-write-us", "N", "flash write latency (us)",
                    [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.flash_write_ns =
-                         static_cast<SimDuration>(std::strtod(value.c_str(), &end) * 1000.0);
-                     return end != nullptr && *end == '\0' && !value.empty();
+                     double us = 0.0;
+                     if (!ParseInRange(value, 0.0, kMaxLatencyUs, &us)) {
+                       return false;
+                     }
+                     params.timing.flash_write_ns = static_cast<SimDuration>(us * 1000.0);
+                     return true;
                    });
   parser.AddInt("hosts", "number of hosts", &params.hosts);
   parser.AddInt("threads", "threads per host", &params.threads_per_host);
   parser.AddInt("filers", "filer shards in the storage backend", &params.num_filers);
-  parser.AddCustom("partitions", "N|auto",
-                   "partitioned-engine host groups (1 = serial engine; auto = "
-                   "one per core, clamped to the host count)",
-                   [&params](const std::string& value) {
-                     if (value == "auto") {
-                       params.num_partitions = kAutoPartitions;
-                       return true;
-                     }
-                     char* end = nullptr;
-                     const long parsed = std::strtol(value.c_str(), &end, 10);
-                     if (end == nullptr || *end != '\0' || value.empty()) {
-                       return false;
-                     }
-                     params.num_partitions = static_cast<int>(parsed);
-                     return true;
-                   });
   parser.AddCustom("flash-noise", "SIGMA",
                    "mean-one lognormal flash latency noise (0 = off)",
                    [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.flash_noise_sigma = std::strtod(value.c_str(), &end);
-                     return end != nullptr && *end == '\0' && !value.empty() &&
-                            params.timing.flash_noise_sigma >= 0.0;
-                   });
-  parser.AddCustom("flash-rng", "substream|legacy",
-                   "flash noise draw keying: per-host counter substreams "
-                   "(order-independent) or one shared stream in dispatch order",
-                   [&params](const std::string& value) {
-                     if (value == "substream") {
-                       params.timing.flash_rng_mode = FlashRngMode::kSubstream;
-                     } else if (value == "legacy") {
-                       params.timing.flash_rng_mode = FlashRngMode::kLegacy;
-                     } else {
-                       return false;
-                     }
-                     return true;
+                     return ParseInRange(value, 0.0, std::numeric_limits<double>::max(),
+                                         &params.timing.flash_noise_sigma);
                    });
   parser.AddCustom("shard-strategy", "hash|modulo", "block -> filer shard routing",
                    [&params](const std::string& value) {
@@ -221,10 +213,12 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
   parser.AddUint64("seed", "workload seed", &params.seed);
   parser.AddCustom("series-ms", "N", "read-latency time series window (ms)",
                    [options](const std::string& value) {
-                     char* end = nullptr;
-                     options->series_ms =
-                         static_cast<int64_t>(std::strtod(value.c_str(), &end));
-                     return end != nullptr && *end == '\0' && !value.empty();
+                     double ms = 0.0;
+                     if (!ParseInRange(value, 0.0, kMaxDurationMs, &ms)) {
+                       return false;
+                     }
+                     options->series_ms = static_cast<int64_t>(ms);
+                     return true;
                    });
   parser.AddCustom("persistent", "", "doubled flash writes (recoverable cache)",
                    [&params](const std::string&) {
@@ -246,10 +240,12 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                    &options->trace_out_path);
   parser.AddCustom("sample_stride", "N", "telemetry sampling stride (sim-ms, 0 = off)",
                    [options](const std::string& value) {
-                     char* end = nullptr;
-                     options->sample_stride_ms =
-                         static_cast<int64_t>(std::strtod(value.c_str(), &end));
-                     return end != nullptr && *end == '\0' && !value.empty();
+                     double ms = 0.0;
+                     if (!ParseInRange(value, 0.0, kMaxDurationMs, &ms)) {
+                       return false;
+                     }
+                     options->sample_stride_ms = static_cast<int64_t>(ms);
+                     return true;
                    });
 }
 
@@ -361,7 +357,6 @@ int main(int argc, char** argv) {
   }
   Metrics metrics;
   std::shared_ptr<obs::Telemetry> telemetry;
-  SimConfig run_config;
   if (!options.trace_path.empty()) {
     std::string error;
     auto source = OpenTraceSource(options.trace_path, &error);
@@ -369,7 +364,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    run_config = BuildSimConfig(options.params);
+    const SimConfig run_config = BuildSimConfig(options.params);
     if (!quiet) {
       std::printf("configuration: %s (trace: %s)\n", run_config.Summary().c_str(),
                   options.trace_path.c_str());
@@ -391,7 +386,6 @@ int main(int argc, char** argv) {
     if (!quiet) {
       std::printf("configuration: %s\n", result.config.Summary().c_str());
     }
-    run_config = result.config;
     metrics = result.metrics;
     telemetry = result.telemetry;
   }
@@ -413,15 +407,7 @@ int main(int argc, char** argv) {
   }
 
   if (options.json) {
-    JsonValue doc = MetricsToJson(metrics);
-    // Engine shape, so a --partitions=auto run is self-describing: the
-    // machine-resolved partition count rides along with the metrics.
-    // MetricsFromJson ignores unknown keys, so snapshots stay restorable.
-    JsonValue engine = JsonValue::Object();
-    engine.Set("num_partitions", static_cast<int64_t>(run_config.num_partitions));
-    engine.Set("partitions_auto", run_config.partitions_auto);
-    doc.Set("engine", std::move(engine));
-    std::printf("%s\n", doc.Dump(2).c_str());
+    std::printf("%s\n", MetricsToJson(metrics).Dump(2).c_str());
     return 0;
   }
   if (quiet) {

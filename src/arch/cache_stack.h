@@ -44,38 +44,6 @@ enum class HitLevel : uint8_t {
 
 const char* HitLevelName(HitLevel level);
 
-// Certified-class verdict for one access (DESIGN.md §12). The partitioned
-// engine defers an access into a parallel batch only when executing it
-// touches host-local state alone; ClassifyAccess names which host-local
-// branch of Read/Write the access would take, or kUncertifiable when the
-// access may touch shared state (filer, background writer, directory
-// residency callbacks) or charge an unpredictable path.
-enum class AccessVerdict : uint8_t {
-  kUncertifiable = 0,
-  // Read satisfied from RAM: touch + counter + RAM device charge only.
-  kPureRamHit = 1,
-  // Read satisfied from flash: touch + counter + flash device charge, plus
-  // (subset stacks) a RAM install that provably triggers no writeback and
-  // no residency callback. The flash device timeline is host-local and the
-  // coordinator flushes batches in rank order, so the charge commutes.
-  kFlashHit = 2,
-  // Write that lands on a resident copy whose writeback policy marks dirty
-  // in place (no write-through): touch + device write + MarkDirty only.
-  // The engine additionally requires the consistency directory to show the
-  // issuing host as the block's sole holder before certifying (the stack
-  // cannot see cross-host state).
-  kPrivateWrite = 3,
-};
-
-// Side effects of executing a kFlashHit read, reported by ClassifyAccess so
-// the engine can keep per-host batch bookkeeping (a RAM install consumes a
-// free slot; an evicting install retires the peeked victim).
-struct AccessEffects {
-  bool ram_install = false;  // the read installs a RAM copy of the block
-  bool ram_evict = false;    // ...and evicts the block below to make room
-  BlockKey victim_key = 0;   // valid only when ram_evict
-};
-
 // Receives block residency transitions for the consistency directory.
 class ResidencyListener {
  public:
@@ -166,45 +134,6 @@ class CacheStack {
   // application sees completion. Read reports where the block was found.
   virtual SimTime Read(SimTime now, BlockKey key, HitLevel* level) = 0;
   virtual SimTime Write(SimTime now, BlockKey key) = 0;
-
-  // Classifies the access `op` on `key` right now into the certified-class
-  // verdict above, without mutating anything. The verdict must be exact: a
-  // non-kUncertifiable verdict is a promise that executing the access right
-  // now takes precisely the host-local branch the verdict names. For
-  // kFlashHit, `effects` (when non-null) reports the install/evict plan so
-  // the engine can validate later candidates against pending batch entries.
-  // Writes are classified per single block; the engine never certifies
-  // multi-block writes.
-  virtual AccessVerdict ClassifyAccess(TraceOp op, BlockKey key,
-                                       AccessEffects* effects = nullptr) const = 0;
-
-  // Whether a Read of `key` right now would be a pure RAM hit: satisfied
-  // entirely from this host's RAM tier, touching only host-local state
-  // (recency chain, counters, RAM device timeline) — no eviction, install,
-  // directory callback, or filer traffic. Note a pure RAM hit never
-  // changes residency, so certification of one read cannot invalidate the
-  // certification of another at the same instant.
-  bool ReadIsPureRamHit(BlockKey key) const {
-    return ClassifyAccess(TraceOp::kRead, key) == AccessVerdict::kPureRamHit;
-  }
-
-  // Fused fast-path read (DESIGN.md §13): one hash probe that certifies AND
-  // executes. If a Read of `key` at `now` would be a pure RAM hit, performs
-  // exactly that Read — intrusive touch, ram_hits counter, RAM device
-  // charge — and returns its completion time; otherwise mutates nothing and
-  // returns nullopt (the caller falls back to the full Read on the event
-  // path). For any key, TryReadFastPath succeeding is equivalent, state and
-  // time, to Read reporting HitLevel::kRam; it never succeeds otherwise.
-  virtual std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) = 0;
-
-  // Flash-tier sibling of TryReadFastPath: if ClassifyAccess would report
-  // kFlashHit for a Read of `key` at `now`, performs exactly Read's
-  // flash-hit branch — flash touch, flash_hits counter, flash device
-  // charge, and (subset stacks) the certified no-writeback RAM install —
-  // and returns its completion time; otherwise mutates nothing and returns
-  // nullopt. Success is equivalent, state and time, to Read reporting
-  // HitLevel::kFlash from a certified state.
-  virtual std::optional<SimTime> TryReadFlashFastPath(SimTime now, BlockKey key) = 0;
 
   // Syncer interface. A periodic writeback policy is a syncer *thread*
   // (§3.5) with one writeback in flight at a time; when it falls behind the

@@ -24,71 +24,6 @@ bool SubsetStackBase::MayInstallInFlash(BlockKey key) {
   return false;
 }
 
-AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key,
-                                              AccessEffects* effects) const {
-  if (op == TraceOp::kWrite) {
-    // Certified branch of Write: a RAM-resident hit whose writeback policy
-    // marks dirty in place — Touch + ram write + MarkDirty, no
-    // write-through, no install, no residency callback.
-    if (!HasRam() || ram_.Lookup(key) == kInvalidSlot) {
-      return AccessVerdict::kUncertifiable;
-    }
-    if (config_.ram_policy == WritebackPolicy::kSync ||
-        config_.ram_policy == WritebackPolicy::kAsync) {
-      return AccessVerdict::kUncertifiable;
-    }
-    return AccessVerdict::kPrivateWrite;
-  }
-  if (HasRam() && ram_.Lookup(key) != kInvalidSlot) {
-    return AccessVerdict::kPureRamHit;
-  }
-  if (!HasFlash() || flash_.Lookup(key) == kInvalidSlot) {
-    return AccessVerdict::kUncertifiable;
-  }
-  // Flash hit. With no RAM tier the read is touch + flash charge only.
-  if (!HasRam()) {
-    return AccessVerdict::kFlashHit;
-  }
-  // The InstallInRam that follows must provably take its silent path: no
-  // dirty-victim writeback, and no residency callback. Without an admission
-  // filter the HasFlash install never notifies; with one, it notifies only
-  // for RAM-only residents (the key is flash-resident here, so only the
-  // victim can trip it).
-  if (effects != nullptr) {
-    effects->ram_install = true;
-  }
-  if (ram_.size() < ram_.capacity()) {
-    return AccessVerdict::kFlashHit;  // free slot: install without eviction
-  }
-  const uint32_t victim = ram_.eviction_policy().PeekVictim();
-  if (victim == kInvalidSlot || ram_.dirty(victim)) {
-    return AccessVerdict::kUncertifiable;
-  }
-  const BlockKey victim_key = ram_.key_of(victim);
-  if (admission_.has_value() && flash_.Lookup(victim_key) == kInvalidSlot) {
-    return AccessVerdict::kUncertifiable;  // dropping it fires NotifyDropped
-  }
-  if (effects != nullptr) {
-    effects->ram_evict = true;
-    effects->victim_key = victim_key;
-  }
-  return AccessVerdict::kFlashHit;
-}
-
-std::optional<SimTime> SubsetStackBase::TryReadFlashFastPath(SimTime now, BlockKey key) {
-  if (ClassifyAccess(TraceOp::kRead, key) != AccessVerdict::kFlashHit) {
-    return std::nullopt;
-  }
-  const uint32_t fslot = flash_.Lookup(key);
-  flash_.Touch(fslot);
-  ++counters_.flash_hits;
-  SimTime t = flash_dev_->Read(now, key);
-  if (HasRam()) {
-    t = InstallInRam(t, key, nullptr);
-  }
-  return t;
-}
-
 SimTime SubsetStackBase::Read(SimTime now, BlockKey key, HitLevel* level) {
   SimTime t = now;
   if (HasRam()) {

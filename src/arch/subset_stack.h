@@ -44,34 +44,6 @@ class SubsetStackBase : public CacheStack {
     const uint32_t flash_slot = flash_.Lookup(key);
     return flash_slot != kInvalidSlot && flash_.dirty(flash_slot);
   }
-  // Certified-class verdicts (DESIGN.md §12). A RAM-resident block reads
-  // via Touch + RamDevice::Read only (kPureRamHit). A flash-resident block
-  // reads via flash touch + flash charge + a RAM install; the install is
-  // certified only when it provably triggers no writeback (clean or absent
-  // victim) and no residency callback (victim flash-resident under an
-  // admission filter). A write certifies only on the Touch + ram write +
-  // MarkDirty branch.
-  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key,
-                               AccessEffects* effects = nullptr) const override;
-  // One LookupFast probe replaces Read's certify-then-probe pair; the body
-  // is Read's RAM-hit branch verbatim, so state and time match exactly.
-  std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) override {
-    if (!HasRam()) {
-      return std::nullopt;
-    }
-    const uint32_t slot = ram_.LookupFast(key);
-    if (slot == kInvalidSlot) {
-      return std::nullopt;
-    }
-    ram_.Touch(slot);
-    ++counters_.ram_hits;
-    return ram_dev_->Read(now);
-  }
-  // Certify-then-execute twin for the flash tier: the body is Read's
-  // flash-hit branch verbatim (InstallInRam included), so state and time
-  // match the event round trip exactly whenever ClassifyAccess reports
-  // kFlashHit.
-  std::optional<SimTime> TryReadFlashFastPath(SimTime now, BlockKey key) override;
   uint64_t RamResident() const override { return ram_.size(); }
   uint64_t FlashResident() const override { return flash_.size(); }
   uint64_t DirtyBlocks() const override { return ram_.dirty_count() + flash_.dirty_count(); }

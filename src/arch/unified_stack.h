@@ -37,55 +37,6 @@ class UnifiedStack : public CacheStack {
     const uint32_t slot = cache_.Lookup(key);
     return slot != kInvalidSlot && cache_.dirty(slot);
   }
-  // Certified-class verdicts (DESIGN.md §12). Any resident hit is
-  // host-local on the unified chain — blocks never migrate, so a hit is
-  // Touch + counter + the landing medium's device charge, with no install,
-  // eviction, or residency callback. Writes certify on the resident +
-  // MarkDirty-policy branch for either medium (a flash-medium write charges
-  // the host's own flash timeline; the coordinator flushes batches in rank
-  // order, so the charge commutes).
-  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key,
-                               AccessEffects* effects = nullptr) const override {
-    (void)effects;  // unified hits never install or evict
-    const uint32_t slot = cache_.Lookup(key);
-    if (slot == kInvalidSlot) {
-      return AccessVerdict::kUncertifiable;
-    }
-    if (op == TraceOp::kWrite) {
-      const WritebackPolicy policy = PolicyFor(cache_.medium_of(slot));
-      if (policy == WritebackPolicy::kSync || policy == WritebackPolicy::kAsync) {
-        return AccessVerdict::kUncertifiable;
-      }
-      return AccessVerdict::kPrivateWrite;
-    }
-    return cache_.medium_of(slot) == Medium::kRam ? AccessVerdict::kPureRamHit
-                                                  : AccessVerdict::kFlashHit;
-  }
-  // One LookupFast probe that certifies and executes. A flash-medium hit
-  // mutates nothing (Read would Touch it, so the caller must fall back and
-  // re-run the full Read); a RAM-medium hit replays Read's RAM branch —
-  // Touch, ram_hits, RAM device charge — exactly.
-  std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) override {
-    const uint32_t slot = cache_.LookupFast(key);
-    if (slot == kInvalidSlot || cache_.medium_of(slot) != Medium::kRam) {
-      return std::nullopt;
-    }
-    cache_.Touch(slot);
-    ++counters_.ram_hits;
-    return ram_dev_->Read(now);
-  }
-  // Fused flash-medium twin: replays Read's flash branch — Touch,
-  // flash_hits, flash device charge — exactly; mutates nothing on a miss or
-  // a RAM-medium hit.
-  std::optional<SimTime> TryReadFlashFastPath(SimTime now, BlockKey key) override {
-    const uint32_t slot = cache_.LookupFast(key);
-    if (slot == kInvalidSlot || cache_.medium_of(slot) != Medium::kFlash) {
-      return std::nullopt;
-    }
-    cache_.Touch(slot);
-    ++counters_.flash_hits;
-    return flash_dev_->Read(now, key);
-  }
   uint64_t RamResident() const override;
   uint64_t FlashResident() const override;
   uint64_t DirtyBlocks() const override { return cache_.dirty_count(); }

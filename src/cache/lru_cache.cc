@@ -109,10 +109,10 @@ void LruBlockCache::DirtyPushBack(uint32_t slot) {
 void LruBlockCache::Touch(uint32_t slot) {
   FLASHSIM_DCHECK(slot < slots_.size() && slots_[slot].in_use);
   if (replacement_ == ReplacementPolicy::kLru) {
-    // Devirtualized exact-LRU hit: Touch sits on the certified read fast
-    // path (DESIGN.md §13), so the default policy skips the plugin
-    // indirection. Must stay move-for-move identical to LruPolicy::OnHit
-    // (DESIGN.md §14); the golden digests pin the equivalence.
+    // Devirtualized exact-LRU hit: Touch runs on every cache hit, so the
+    // default policy skips the plugin indirection. Must stay move-for-move
+    // identical to LruPolicy::OnHit (DESIGN.md §14); the golden digests pin
+    // the equivalence.
     if (lru_head_ != slot) {
       LruUnlink(slot);
       LruPushFront(slot);

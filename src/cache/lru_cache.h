@@ -87,14 +87,6 @@ class LruBlockCache {
   // Returns the slot holding key, or kInvalidSlot. Does not touch LRU order.
   uint32_t Lookup(BlockKey key) const;
 
-  // Same result as Lookup, but prefetches the slot record the index points
-  // at (FlatHashMap::FindPrefetch) so an immediately following Touch does
-  // not stall on the slot's cache line. Used by the read fast path.
-  uint32_t LookupFast(BlockKey key) const {
-    const uint32_t* slot = index_.FindPrefetch(key, slots_.data());
-    return slot != nullptr ? *slot : kInvalidSlot;
-  }
-
   // Records a hit: dispatches to the registered policy's OnHit (LRU moves
   // the slot to the MRU end, CLOCK sets its reference bit, FIFO does
   // nothing, SLRU promotes, LRU-K updates history).

@@ -18,7 +18,6 @@ uint64_t Directory::AllocSlot() {
 
 void Directory::NoteCached(int host, BlockKey key) {
   FLASHSIM_DCHECK(host >= 0 && host < num_hosts_);
-  ++generation_;
   if (words_ == 1) {
     holders_[key] |= (1ULL << host);
     return;
@@ -32,7 +31,6 @@ void Directory::NoteCached(int host, BlockKey key) {
 
 void Directory::NoteDropped(int host, BlockKey key) {
   FLASHSIM_DCHECK(host >= 0 && host < num_hosts_);
-  ++generation_;
   uint64_t* entry = holders_.Find(key);
   if (entry == nullptr) {
     return;
@@ -75,22 +73,6 @@ Directory::StaleSet Directory::OnBlockWrite(int host, BlockKey key, bool measure
     }
   }
   return StaleSet(stale_.data(), stale_count);
-}
-
-bool Directory::SoleHolder(int host, BlockKey key) const {
-  const uint64_t* entry = holders_.Find(key);
-  if (entry == nullptr) {
-    return false;
-  }
-  const uint64_t* mask = words_ == 1 ? entry : SlotWords(*entry - 1);
-  const size_t host_word = static_cast<size_t>(host) >> 6;
-  const uint64_t host_bit = 1ULL << (host & 63);
-  for (size_t w = 0; w < words_; ++w) {
-    if (mask[w] != (w == host_word ? host_bit : 0)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool Directory::IsCachedBy(int host, BlockKey key) const {

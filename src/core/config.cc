@@ -1,9 +1,9 @@
 #include "src/core/config.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "src/consistency/directory.h"
-#include "src/sim/partition.h"
 #include "src/util/assert.h"
 
 namespace flashsim {
@@ -27,15 +27,14 @@ void SimConfig::Validate() const {
   // The shard router maps block hashes onto at most kMaxShards filers;
   // larger counts are not representable under the shard map.
   FLASHSIM_CHECK(num_filers >= 1 && num_filers <= ShardRouter::kMaxShards);
-  // A partition with no hosts would idle a worker and break the contiguous
-  // host→partition placement, so P may not exceed the host count.
-  FLASHSIM_CHECK(num_partitions >= 1 && num_partitions <= kMaxPartitions);
-  FLASHSIM_CHECK(num_partitions <= num_hosts);
   // The naive stack's RAM→flash writeback requires RAM ⊆ flash, which a
   // DRAM→flash admission filter deliberately breaks.
   FLASHSIM_CHECK(arch != Architecture::kNaive || admission == AdmissionPolicy::kAll);
   FLASHSIM_CHECK(timing.ram_access_ns >= 0);
   FLASHSIM_CHECK(timing.flash_read_ns >= 0 && timing.flash_write_ns >= 0);
+  // A NaN or infinite sigma would turn every flash service time into a
+  // non-finite double cast to SimDuration.
+  FLASHSIM_CHECK(std::isfinite(timing.flash_noise_sigma) && timing.flash_noise_sigma >= 0.0);
   FLASHSIM_CHECK(timing.filer_fast_read_rate >= 0.0 && timing.filer_fast_read_rate <= 1.0);
   FLASHSIM_CHECK(timing.filer_concurrency >= 1);
   // Modeled protocols charge their own control traffic; the legacy
@@ -60,13 +59,6 @@ std::string SimConfig::Summary() const {
                   ShardStrategyName(shard_strategy));
     out += buf;
   }
-  if (num_partitions > 1 || partitions_auto) {
-    // Self-describing runs: report the resolved count even when the user
-    // asked for `auto` (the sentinel itself never reaches a SimConfig).
-    std::snprintf(buf, sizeof(buf), " partitions=%d%s", num_partitions,
-                  partitions_auto ? "(auto)" : "");
-    out += buf;
-  }
   if (replacement != ReplacementPolicy::kLru) {
     std::snprintf(buf, sizeof(buf), " policy=%s", ReplacementPolicyName(replacement));
     out += buf;
@@ -78,9 +70,6 @@ std::string SimConfig::Summary() const {
   if (coherence != CoherenceModel::kPerfect) {
     std::snprintf(buf, sizeof(buf), " coherence=%s", CoherenceModelName(coherence));
     out += buf;
-  }
-  if (!read_fast_path) {
-    out += " nofastpath";
   }
   return out;
 }

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "src/core/simulation.h"
-#include "src/sim/partition.h"
 #include "src/util/assert.h"
 
 namespace flashsim {
@@ -30,17 +29,6 @@ SimConfig BuildSimConfig(const ExperimentParams& params) {
   config.threads_per_host = params.threads_per_host;
   config.num_filers = params.num_filers;
   config.shard_strategy = params.shard_strategy;
-  // --partitions=auto resolves against this machine here, before Validate
-  // ever sees the sentinel. Only the worker count depends on the machine;
-  // results are byte-identical at any partition count.
-  config.num_partitions = params.num_partitions == kAutoPartitions
-                              ? ResolveAutoPartitions(params.hosts)
-                              : params.num_partitions;
-  // Remember that the count was machine-resolved: Summary() and the CLI
-  // report it, so an auto run is self-describing.
-  config.partitions_auto = params.num_partitions == kAutoPartitions;
-  config.force_partitioned = params.force_partitioned;
-  config.wide_certification = params.wide_certification;
   config.arch = params.arch;
   config.ram_policy = params.ram_policy;
   config.flash_policy = params.flash_policy;

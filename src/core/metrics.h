@@ -98,16 +98,6 @@ struct Metrics {
   uint64_t flash_bytes_written = 0;
   uint64_t block_bytes = 0;
 
-  // Partitioned-engine batch occupancy (DESIGN.md §12): trace records the
-  // coordinator certified into parallel batches, by verdict class. Always
-  // zero on the serial engine — these observe the engine's *shape*, not the
-  // simulated system, so identity tests compare them separately (serial ==
-  // 0, partitioned > 0) rather than field-exact. Occupancy for a run is
-  // (certified_ram + certified_flash + certified_write) / trace_records.
-  uint64_t certified_ram_batched = 0;
-  uint64_t certified_flash_batched = 0;
-  uint64_t certified_write_batched = 0;
-
   // FTL mode only (timing.use_ftl): device-level aggregates over hosts.
   bool ftl_enabled = false;
   double ftl_write_amplification = 1.0;

@@ -32,7 +32,6 @@
 #include "src/device/ram_device.h"
 #include "src/obs/telemetry.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/partition.h"
 #include "src/trace/source.h"
 #include "src/util/ring_deque.h"
 #include "src/util/time_series.h"
@@ -70,22 +69,7 @@ class Simulation : private EventHandler {
   // The run's coherence protocol (DESIGN.md §15); always non-null after
   // construction. PerfectProtocol for the paper's zero-cost model.
   const CoherenceProtocol& coherence() const { return *coherence_; }
-  uint64_t events_processed() const {
-    if (!partitioned_) {
-      return queue_.events_processed();
-    }
-    uint64_t total = 0;
-    for (const auto& p : partitions_) {
-      total += p->queue.events_processed();
-    }
-    return total;
-  }
-  int num_partitions() const { return partitioned_ ? static_cast<int>(partitions_.size()) : 1; }
-  // Events the serial read fast path dispatched inline (included in
-  // events_processed(); always 0 when partitioned, disabled, or audited).
-  // Deliberately not part of Metrics: fast path on vs. off is byte-identical
-  // there, and tests use this to prove the path actually fired.
-  uint64_t fast_path_events() const { return queue_.inline_dispatches(); }
+  uint64_t events_processed() const { return queue_.events_processed(); }
   // Non-null when SimConfig::audit_stride (or FLASHSIM_AUDIT) enabled the
   // invariant auditor for this run.
   const InvariantAuditor* auditor() const { return auditor_.get(); }
@@ -113,41 +97,6 @@ class Simulation : private EventHandler {
   class HostResidencyBridge;
   class CoherenceFabric;
 
-  // One partition group of the partitioned engine (DESIGN.md §12): its own
-  // event queue (with its own clock), a private RNG substream split from
-  // SimConfig::seed by PartitionSeed (so partition-local stochastic state
-  // can never perturb — or be perturbed by — another partition's draws),
-  // and the SeqSource its worker writes genealogical seqs through while
-  // executing a certified batch slice.
-  struct PartitionState {
-    explicit PartitionState(uint64_t seed) : rng(seed) {}
-    EventQueue queue;
-    Rng rng;
-    SeqSource worker_src;
-  };
-
-  // A certified event pulled off a partition queue but not yet executed:
-  // one thread's next trace record — classified by `verdict` as a pure RAM
-  // hit, a certified flash hit, or a sole-holder private write — or a
-  // thread exit (backlog empty). Batch members commute (disjoint host-local
-  // state), execute on partition workers, and have their order-sensitive
-  // metric effects applied by the coordinator in rank order, which is
-  // exactly the serial engine's processing order.
-  struct DeferredRead {
-    SimTime now = 0;
-    SimTime done = 0;  // written by the executing worker
-    uint64_t rank = 0;
-    int partition = 0;
-    int thread_index = 0;
-    bool exit = false;
-    AccessVerdict verdict = AccessVerdict::kPureRamHit;
-    // kPrivateWrite only: directory generation at certification time. The
-    // batch's frozen-holder invariant (no member fires a residency
-    // callback) keeps it constant until the post-pass re-checks it.
-    uint64_t dir_generation = 0;
-    TraceRecord record;
-  };
-
   // Typed event codes. Args: kEvThreadStart carries the global thread
   // index; kEvSyncerTick the tier (1 = RAM); kEvSyncerStep the host in the
   // low 32 bits and the tier in bit 32; kEvSample carries nothing.
@@ -169,71 +118,13 @@ class Simulation : private EventHandler {
   // source and back-filling other threads' queues as needed.
   bool NextOpFor(int thread_index, TraceRecord* record);
 
-  // Peeks the next op for the thread without consuming it, pulling from the
-  // source into backlogs as needed (the thread's own find is parked in its
-  // backlog, unlike NextOpFor's direct return). Returns nullptr when the
-  // thread is out of work. The pointer is invalidated by the next backlog
-  // mutation.
-  const TraceRecord* PeekOpFor(int thread_index);
-
   // Executes one operation starting at `now`; returns its completion time.
   SimTime ExecuteOp(SimTime now, const TraceRecord& record);
-
-  // Serial read fast path (DESIGN.md §13): if `record` is a read that is a
-  // pure RAM hit on every block, executes it starting at `now` via
-  // TryReadFastPath — including the per-block read metrics ExecuteOp would
-  // have recorded — and returns its completion time; otherwise mutates
-  // nothing and returns nullopt.
-  std::optional<SimTime> TryFastExecute(CacheStack& stack, const TraceRecord& record,
-                                        SimTime now, bool measured);
-
-  // The order-sensitive per-op accumulation shared by the event path and
-  // the fast path: completion watermark, spans, latency records, warmup and
-  // record counters. Must run in dispatch order (the Welford mean is not
-  // associative).
-  void FinishOp(int thread_index, const TraceRecord& record, SimTime now, SimTime done);
 
   void StartThread(int thread_index, SimTime now);
   void ScheduleSyncers();
   void SyncerTick(bool ram_tier, SimTime now);
   void SyncerStep(int host, bool ram_tier, SimTime now);
-
-  // Partitioned engine (DESIGN.md §12). RunPartitioned pre-drains the trace
-  // into the per-thread backlogs, schedules the root events through the
-  // coordinator's SeqSource, and runs the merge loop: pop the global
-  // (time, seq) minimum across partition queues, deferring certified
-  // accesses (pure RAM hits, certified flash hits, sole-holder private
-  // writes) into a batch and executing everything else serially in exact
-  // legacy order.
-  //
-  // Batch execution is pipelined: StartExec posts the batch's worker slices
-  // via PartitionWorkerPool::StartBatch, runs partition 0's slice on the
-  // coordinator, and returns — the merge loop keeps certifying ahead into a
-  // second batch, restricted to non-busy partitions and to events provably
-  // earlier than exec_floor_ (a lower bound on anything a busy partition
-  // holds or will schedule). WaitAndPost joins the workers and applies the
-  // batch's order-sensitive metric updates in rank order (PostPass).
-  void RunPartitioned(TraceSource& source);
-  void StartExec(std::vector<DeferredRead>& batch, SimTime* batch_bound);
-  void WaitAndPost();
-  void PostPass(std::vector<DeferredRead>& batch);
-  void ExecuteDeferred(DeferredRead& d, SeqSource* src);
-  // Lower bound on a deferred entry's completion time (and therefore on any
-  // event executing it can schedule), by verdict class. Flash floors drop
-  // to zero while latency noise is armed: a lognormal factor can shrink a
-  // service below its nominal time.
-  SimTime DeferredBound(const DeferredRead& d) const;
-
-  // Queue routing: per-host events live on the host's partition queue;
-  // global events (syncer ticks, telemetry samples) on partition 0's.
-  // The legacy engine routes everything to the single global queue.
-  EventQueue& queue_for_host(int host) {
-    return partitioned_ ? partitions_[static_cast<size_t>(
-                              partition_of_host_[static_cast<size_t>(host)])]
-                              ->queue
-                        : queue_;
-  }
-  EventQueue& global_queue() { return partitioned_ ? partitions_[0]->queue : queue_; }
 
   // Telemetry plumbing (src/obs/). ArmTelemetry registers every histogram,
   // probe, and trace track up front so the run itself never allocates for
@@ -250,38 +141,6 @@ class Simulation : private EventHandler {
 
   SimConfig config_;
   EventQueue queue_;
-  // Partitioned-engine state; empty/unused on the legacy single-queue path.
-  // Declared before hosts_: each HostState binds its link clock and
-  // background writer to its partition's queue, so the queues must outlive
-  // the hosts.
-  bool partitioned_ = false;
-  std::vector<std::unique_ptr<PartitionState>> partitions_;
-  std::vector<int> partition_of_host_;  // per host
-  SeqSource coord_src_;
-  std::unique_ptr<PartitionWorkerPool> pool_;
-  // Pipelined-flush state (valid between StartExec and WaitAndPost): the
-  // posted batch, the worker callable it outlives, which partitions a
-  // worker currently owns, and the floor below which the merge loop may
-  // still pop non-busy heads.
-  std::function<void(int)> exec_fn_;
-  std::vector<DeferredRead>* exec_batch_ = nullptr;
-  bool exec_pending_ = false;
-  std::vector<uint8_t> partition_busy_;  // per partition
-  SimTime exec_floor_ = 0;
-  // Per-host certification bookkeeping for the open batch: how many batch
-  // members touch the host at all (any member reorders its RAM recency
-  // chain, so victim peeks only certify on an untouched host), how many
-  // consume a free RAM slot, and which keys' residency the batch is about
-  // to change (installed keys and peeked victims — later candidates naming
-  // them would be classified against stale state). Reset per StartExec via
-  // the touched-host list.
-  std::vector<uint32_t> cert_pending_ops_;       // per host
-  std::vector<uint32_t> cert_pending_installs_;  // per host
-  std::vector<std::vector<BlockKey>> cert_pending_keys_;  // per host
-  std::vector<int> cert_touched_hosts_;
-  // Shared stream for FlashRngMode::kLegacy latency noise, consumed in
-  // dispatch order; unused (but always wired) in substream mode.
-  Rng flash_noise_rng_;
   std::unique_ptr<StorageBackend> backend_;
   std::unique_ptr<Directory> directory_;
   std::vector<std::unique_ptr<HostState>> hosts_;
@@ -299,10 +158,6 @@ class Simulation : private EventHandler {
   std::vector<RingDeque<TraceRecord>> backlog_;  // per thread index
   bool source_exhausted_ = false;
   int live_threads_ = 0;
-  // Serial fast path armed for this run: the config knob, the serial
-  // engine, and no per-record auditor (the auditor must observe every op
-  // through the full event path, exactly like PR-6 certification).
-  bool serial_fast_path_ = false;
   std::vector<bool> ram_syncer_busy_;    // per host: syncer thread mid-flush
   std::vector<bool> flash_syncer_busy_;  // per host
   SimTime last_op_completion_ = 0;

@@ -17,13 +17,7 @@ double SsdProfile::FillFraction() const {
 double SsdProfile::LognormalNoise(double sigma) {
   // Mean-one lognormal: exp(N(-sigma^2/2, sigma^2)) has expectation 1, so the
   // noise scales variance without shifting the average latency.
-  double z;
-  if (rng_mode_ == FlashRngMode::kSubstream) {
-    Rng draw(FlashDrawSeed(stream_seed_, draw_counter_++));
-    z = SampleStandardNormal(draw);
-  } else {
-    z = SampleStandardNormal(rng_);
-  }
+  const double z = SampleStandardNormal(rng_);
   return std::exp(sigma * z - 0.5 * sigma * sigma);
 }
 

@@ -14,19 +14,6 @@
 
 namespace flashsim {
 
-// How per-I/O flash latency noise draws are keyed (flash_noise_sigma > 0
-// only; with sigma == 0 no draws happen and the mode is inert).
-enum class FlashRngMode : uint8_t {
-  // One shared per-run stream consumed in dispatch order. Order-couples
-  // every host's flash charges, so the partitioned engine disables
-  // flash/write certification while noise is armed in this mode.
-  kLegacy = 0,
-  // Counter-keyed substreams: each draw is keyed by (host, per-device op
-  // counter) via FlashStreamSeed/FlashDrawSeed — a pure function of the
-  // host's own history, safe to execute out of global order.
-  kSubstream = 1,
-};
-
 struct TimingModel {
   // RAM cache access (read or write) per block; 400 ns ~= 10 GB/s DDR3.
   SimDuration ram_access_ns = 400;
@@ -95,7 +82,6 @@ struct TimingModel {
   // unchanged. The §6.2 validation argues averages are sound, so this is an
   // opt-in realism knob for variance studies.
   double flash_noise_sigma = 0.0;
-  FlashRngMode flash_rng_mode = FlashRngMode::kSubstream;
 
   SimDuration EffectiveFlashWrite() const {
     return persistent_flash ? 2 * flash_write_ns : flash_write_ns;

@@ -1,5 +1,6 @@
 #include "src/harness/flags.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -29,7 +30,7 @@ bool ParseDoubleValue(const std::string& text, double* out) {
   }
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
     return false;
   }
   *out = value;

@@ -349,9 +349,6 @@ JsonValue MetricsToJson(const Metrics& metrics) {
   json.Set("dirty_resident", metrics.dirty_resident);
   json.Set("flash_bytes_written", metrics.flash_bytes_written);
   json.Set("block_bytes", metrics.block_bytes);
-  json.Set("certified_ram_batched", metrics.certified_ram_batched);
-  json.Set("certified_flash_batched", metrics.certified_flash_batched);
-  json.Set("certified_write_batched", metrics.certified_write_batched);
   json.Set("ftl_enabled", metrics.ftl_enabled);
   json.Set("ftl_write_amplification", metrics.ftl_write_amplification);
   json.Set("ftl_erases", metrics.ftl_erases);
@@ -433,11 +430,6 @@ std::optional<Metrics> MetricsFromJson(const JsonValue& json) {
   get_u64("dirty_resident", &metrics.dirty_resident);
   get_u64("flash_bytes_written", &metrics.flash_bytes_written);
   get_u64("block_bytes", &metrics.block_bytes);
-  // Absent in snapshots written before the widened partitioned engine;
-  // default 0 (the serial engine's value).
-  get_u64("certified_ram_batched", &metrics.certified_ram_batched);
-  get_u64("certified_flash_batched", &metrics.certified_flash_batched);
-  get_u64("certified_write_batched", &metrics.certified_write_batched);
   // Absent in single-filer snapshots and those written before sharding.
   if (const JsonValue* shards = json.Get("filer_shards"); shards != nullptr) {
     for (size_t i = 0; i < shards->size(); ++i) {

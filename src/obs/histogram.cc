@@ -11,9 +11,7 @@ void Histogram::Merge(const Histogram& other) {
     return;
   }
   if (count() == 0) {
-    const bool batched = batched_;
     *this = other;
-    batched_ = batched;  // adopt the state, keep our recording mode
     return;
   }
   if (other.min_ < min_) {

@@ -8,13 +8,12 @@
 // any order yields bit-identical state, which is what lets a --jobs=N sweep
 // aggregate per-run telemetry into byte-identical output (DESIGN.md §10).
 //
-// Batched recording (DESIGN.md §13): in batched mode Record is one store
-// into a fixed staging array; values drain into the buckets at capacity or
-// whenever any reader needs the state (count/min/max/quantiles/serialize/
-// merge all flush first). Flushing replays the staged values in recording
-// order through the exact unbatched update, so observable state is
-// bit-identical to unbatched mode at every read point — batching moves the
-// arithmetic off the hot path, it never changes the answer.
+// Batched recording (DESIGN.md §13): Record is one store into a fixed
+// staging array; values drain into the buckets at capacity or whenever any
+// reader needs the state (count/min/max/quantiles/serialize/merge all flush
+// first). Every accumulator is order-independent, so the observable state
+// at every read point is bit-identical to updating per value — batching
+// moves the arithmetic off the hot path, it never changes the answer.
 #ifndef FLASHSIM_SRC_OBS_HISTOGRAM_H_
 #define FLASHSIM_SRC_OBS_HISTOGRAM_H_
 
@@ -30,38 +29,25 @@ namespace obs {
 
 class Histogram {
  public:
-  // Staging capacity in batched mode: 512 bytes of inline storage, sized so
-  // a flush amortizes the bucket-index arithmetic without growing the
-  // registry's footprint meaningfully. No heap allocation either way.
+  // Staging capacity: 512 bytes of inline storage, sized so a flush
+  // amortizes the bucket-index arithmetic without growing the registry's
+  // footprint meaningfully. No heap allocation.
   static constexpr uint32_t kBatchCapacity = 64;
 
   // Records one non-negative duration (negative values clamp to 0, matching
   // LatencyHistogram::Add).
   void Record(int64_t value_ns) {
-    if (batched_) {
-      staged_[staged_count_++] = value_ns;
-      if (staged_count_ == kBatchCapacity) {
-        Flush();
-      }
-      return;
+    staged_[staged_count_++] = value_ns;
+    if (staged_count_ == kBatchCapacity) {
+      Flush();
     }
-    RecordDirect(value_ns);
   }
-
-  // Batched mode is chosen at registration (TelemetryConfig::batched);
-  // switching drains any staged values first.
-  void set_batched(bool batched) {
-    Flush();
-    batched_ = batched;
-  }
-  bool batched() const { return batched_; }
 
   // Drains the staged values. One pass computing batch sum/min/max plus a
-  // fused bucket-increment loop — exactly equivalent to replaying each
-  // value through RecordDirect in recording order, because every
-  // accumulator here is order-independent (integer sum, min, max, bucket
-  // counts). Logically const: staging is a deferral of already-recorded
-  // values, not state.
+  // fused bucket-increment loop — exactly equivalent to updating per value
+  // in recording order, because every accumulator here is
+  // order-independent (integer sum, min, max, bucket counts). Logically
+  // const: staging is a deferral of already-recorded values, not state.
   void Flush() const {
     if (staged_count_ == 0) {
       return;
@@ -121,22 +107,6 @@ class Histogram {
   JsonValue ToJson() const;
 
  private:
-  // The unbatched update; also the flush replay step, value for value.
-  // Reads buckets_.count() directly (the public count() flushes).
-  void RecordDirect(int64_t value_ns) const {
-    buckets_.Add(value_ns);
-    if (value_ns < 0) {
-      value_ns = 0;
-    }
-    sum_ += value_ns;
-    if (buckets_.count() == 1 || value_ns < min_) {
-      min_ = value_ns;
-    }
-    if (buckets_.count() == 1 || value_ns > max_) {
-      max_ = value_ns;
-    }
-  }
-
   // Mutable so Flush stays const-callable from every reader: a flush only
   // materializes state that was already logically recorded.
   mutable LatencyHistogram buckets_;
@@ -145,7 +115,6 @@ class Histogram {
   mutable int64_t max_ = 0;
   mutable std::array<int64_t, kBatchCapacity> staged_;
   mutable uint32_t staged_count_ = 0;
-  bool batched_ = false;
 };
 
 }  // namespace obs

@@ -7,7 +7,6 @@ namespace obs {
 
 Histogram* Telemetry::RegisterHistogram(std::string name) {
   histograms_.emplace_back(std::move(name), Histogram());
-  histograms_.back().second.set_batched(config_.batched);
   return &histograms_.back().second;
 }
 
@@ -45,8 +44,7 @@ void Telemetry::MergeFrom(const Telemetry& other) {
     }
     if (!merged) {
       histograms_.emplace_back(name, histogram);
-      histograms_.back().second.set_batched(config_.batched);
-    }
+        }
   }
 }
 

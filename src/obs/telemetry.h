@@ -45,10 +45,6 @@ struct TelemetryConfig {
   bool spans = false;               // Chrome-trace span capture
   SimDuration sample_stride_ns = 0;  // 0 = sampler off
   uint64_t max_spans = 4000000;      // span cap; overflow is counted
-  // Registered histograms record through a fixed staging array drained on
-  // read (obs::Histogram batched mode) — byte-identical output, ~4x cheaper
-  // Record. Off exists for A/B benchmarking the telemetry tax itself.
-  bool batched = true;
 
   bool any() const { return histograms || spans || sample_stride_ns > 0; }
 };

@@ -48,33 +48,11 @@ class EventHandler {
   ~EventHandler() = default;
 };
 
-// Genealogical sequence source for multi-queue (partitioned) engines.
-//
-// A single queue's monotone seq breaks equal-time ties by scheduling
-// order. With one queue per partition that order is no longer global, so
-// the partitioned engine (DESIGN.md §12) composes each event's seq from
-// its *genealogy* instead: the global rank of the event whose processing
-// scheduled it, and a per-parent child index. Parents are processed in
-// rank order and schedule their children in child-index order, so sorting
-// by (time, parent_rank, child_index) reproduces exactly the (time,
-// scheduling-order) total order a single serial queue would have used —
-// regardless of which queue each event lives in. Root events scheduled
-// before the run use rank 0 with one shared child counter.
-struct SeqSource {
-  uint64_t rank = 0;  // global rank of the currently executing event
-  uint32_t kid = 0;   // children scheduled by that event so far
-};
-
 // Min-heap of (time, seq) -> typed record or pooled callback.
 // Single-threaded.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime now)>;
-
-  // Genealogical seq layout: seq = (parent_rank << kKidBits) | child_index.
-  static constexpr int kKidBits = 20;
-  static constexpr uint64_t kMaxKids = 1ULL << kKidBits;
-  static constexpr uint64_t kMaxRank = 1ULL << (64 - kKidBits);
 
   // Captures at most this large are stored inline in a pool slot.
   static constexpr size_t kInlineCallbackBytes = 48;
@@ -114,7 +92,7 @@ class EventQueue {
     ::new (obj) Decayed(std::forward<Fn>(fn));
     slot.invoke = &InvokeThunk<Decayed>;
     slot.destroy = &DestroyThunk<Decayed>;
-    Push(Entry{when, ComposeSeq(), nullptr, slot_index, 0});
+    Push(Entry{when, next_seq_++, nullptr, slot_index, 0});
   }
 
   // Schedules fn `delay` after the current time.
@@ -128,7 +106,7 @@ class EventQueue {
   void ScheduleEvent(SimTime when, EventHandler* handler, uint32_t code, uint64_t arg = 0) {
     FLASHSIM_CHECK(when >= now_);
     FLASHSIM_DCHECK(handler != nullptr);
-    Push(Entry{when, ComposeSeq(), handler, arg, code});
+    Push(Entry{when, next_seq_++, handler, arg, code});
   }
 
   void ScheduleEventAfter(SimDuration delay, EventHandler* handler, uint32_t code,
@@ -151,62 +129,6 @@ class EventQueue {
   size_t size() const { return heap_.size(); }
   SimTime Now() const { return now_; }
   uint64_t events_processed() const { return events_processed_; }
-
-  // --- Partitioned-engine hooks (DESIGN.md §12) ---------------------------
-  //
-  // The coordinator of a multi-queue run inspects queue heads, pops the
-  // global (time, seq) minimum across all partitions, and either defers it
-  // into a certified batch or dispatches it inline. While a source is set,
-  // every scheduled event takes its seq from the genealogical composition
-  // (rank << kKidBits) | kid instead of this queue's monotone counter.
-  void set_seq_source(SeqSource* source) { seq_source_ = source; }
-
-  // Head inspection. Callers must check !empty() first.
-  SimTime HeadTime() const { return heap_[0].when; }
-  uint64_t HeadSeq() const { return heap_[0].seq; }
-  uint64_t HeadArg() const { return heap_[0].arg; }
-  bool HeadIsTyped(const EventHandler* handler, uint32_t code) const {
-    return heap_[0].handler == handler && heap_[0].code == code;
-  }
-
-  // Pops the head without invoking it, advancing this queue's clock and
-  // event count exactly as a dispatch would. Only valid for typed events —
-  // callback events own pool slots that must be recycled via dispatch.
-  void PopHeadDeferred() {
-    FLASHSIM_DCHECK(!heap_.empty());
-    FLASHSIM_DCHECK(heap_[0].handler != nullptr);
-    const SimTime when = heap_[0].when;
-    PopTop();
-    now_ = when;
-    clock_.now = when;
-    ++events_processed_;
-  }
-
-  // Pops and invokes the head event (typed or callback).
-  void DispatchHead();
-
-  // --- Serial fast-path hook (DESIGN.md §13) ------------------------------
-  //
-  // Accounts for a typed event that was logically scheduled at `when` and
-  // immediately dispatched without ever entering the heap. The serial
-  // engine's read fast path uses this when a thread's next completion is
-  // provably the global next event: the queue state afterwards — clock,
-  // event count, and the monotone seq counter — is exactly what a
-  // ScheduleEvent + DispatchHead pair would have left, so every later
-  // (time, seq) comparison and events_processed() observation is unchanged.
-  void NoteInlineDispatch(SimTime when) {
-    FLASHSIM_DCHECK(when >= now_);
-    (void)ComposeSeq();  // the skipped ScheduleEvent would have consumed one
-    now_ = when;
-    clock_.now = when;
-    ++events_processed_;
-    ++inline_dispatches_;
-  }
-
-  // How many events NoteInlineDispatch accounted for (they are included in
-  // events_processed()). Not part of Metrics — fast path on vs. off must
-  // stay byte-identical there — but tests use it to prove the path fired.
-  uint64_t inline_dispatches() const { return inline_dispatches_; }
 
   // Monotone clock view for resources' interval pruning.
   const SimClock* clock() const { return &clock_; }
@@ -278,17 +200,8 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  // Seq for the next scheduled event: genealogical when a source is set
-  // (partitioned engine), this queue's monotone counter otherwise.
-  uint64_t ComposeSeq() {
-    if (seq_source_ != nullptr) {
-      FLASHSIM_CHECK(seq_source_->rank < kMaxRank);
-      FLASHSIM_CHECK(seq_source_->kid < kMaxKids);
-      return (seq_source_->rank << kKidBits) | seq_source_->kid++;
-    }
-    return next_seq_++;
-  }
-
+  // Pops and invokes the head event (typed or callback).
+  void DispatchHead();
   void PopTop();
   void InvokeAndRecycle(uint32_t slot_index, SimTime now);
   void DestroyPendingCallbacks();
@@ -323,8 +236,6 @@ class EventQueue {
   SimClock clock_;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  uint64_t inline_dispatches_ = 0;
-  SeqSource* seq_source_ = nullptr;
 
   std::vector<std::unique_ptr<CallbackSlot[]>> slabs_;
   uint32_t free_slot_ = kNoSlot;

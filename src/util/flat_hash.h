@@ -54,31 +54,6 @@ class FlatHashMap {
     return const_cast<FlatHashMap*>(this)->Find(key);
   }
 
-  // Fast-path probe: the same linear probe as Find, but the moment the key
-  // matches it issues a software prefetch for aux_base[value] — the record
-  // the mapped value indexes (e.g. the LRU slot a cache index points at).
-  // The caller's dependent load then overlaps its remaining work instead of
-  // stalling on a cold cache line. Identical result to Find.
-  template <typename Aux>
-  const V* FindPrefetch(uint64_t key, const Aux* aux_base) const {
-    size_t i = Hash(key) & mask_;
-    for (;;) {
-      const Slot& s = slots_[i];
-      if (!s.used) {
-        return nullptr;
-      }
-      if (s.key == key) {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(aux_base + s.value, /*rw=*/1, /*locality=*/3);
-#else
-        (void)aux_base;
-#endif
-        return &s.value;
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
   bool Contains(uint64_t key) const { return Find(key) != nullptr; }
 
   // Number of load-triggered rehashes since construction (Reserve and the

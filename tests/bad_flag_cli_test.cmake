@@ -1,0 +1,35 @@
+# Runs flashsim_cli with float flags that are non-finite or out of range,
+# and with flags that no longer exist. Each must be refused by the flag
+# parser: exit 2 with the flag named on stderr, before any simulation runs
+# (no abort, no undefined cast to an integer duration).
+#
+#   cmake -DCLI=<flashsim_cli> -P bad_flag_cli_test.cmake
+#
+# `expected` is the parser's diagnostic prefix that must name the flag:
+# "bad value for --FLAG" or "unknown flag: --FLAG".
+function(expect_usage_error expected)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "${ARGN}: expected exit 2, got '${code}'\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
+  string(FIND "${err}" "${expected}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${ARGN}: stderr lacks '${expected}':\n${err}")
+  endif()
+endfunction()
+
+foreach(value inf -inf nan 1e300 -1)
+  expect_usage_error("bad value for --flash-read-us" "--flash-read-us=${value}")
+  expect_usage_error("bad value for --flash-write-us" "--flash-write-us=${value}")
+  expect_usage_error("bad value for --series-ms" "--series-ms=${value}")
+endforeach()
+foreach(value inf nan -0.5)
+  expect_usage_error("bad value for --flash-noise" "--flash-noise=${value}")
+endforeach()
+foreach(value inf nan 101 -1)
+  expect_usage_error("bad value for --prefetch-pct" "--prefetch-pct=${value}")
+endforeach()
+# Removed engine flags.
+expect_usage_error("unknown flag: --partitions" "--partitions=4")
+expect_usage_error("unknown flag: --flash-rng" "--flash-rng=legacy")

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/consistency/directory.h"
-#include "src/sim/partition.h"
 
 namespace flashsim {
 namespace {
@@ -77,51 +78,21 @@ TEST(SimConfigDeathTest, ValidateRejectsBadShardCounts) {
   }
 }
 
-TEST(SimConfigDeathTest, ValidateRejectsBadPartitionCounts) {
-  {
+TEST(SimConfigDeathTest, ValidateRejectsNonFiniteOrNegativeFlashNoise) {
+  // A non-finite sigma would turn every noisy flash service time into a
+  // non-finite double cast to SimDuration deep inside the run.
+  for (const double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -0.5}) {
     SimConfig config;
-    config.num_partitions = 0;
-    EXPECT_DEATH(config.Validate(), "CHECK failed");
-  }
-  {
-    // More partitions than hosts would leave a partition empty.
-    SimConfig config;
-    config.num_hosts = 4;
-    config.num_partitions = 5;
-    EXPECT_DEATH(config.Validate(), "CHECK failed");
-  }
-  {
-    SimConfig config;
-    config.num_hosts = Directory::kMaxHosts;
-    config.num_partitions = kMaxPartitions + 1;
-    EXPECT_DEATH(config.Validate(), "CHECK failed");
+    config.timing.flash_noise_sigma = sigma;
+    EXPECT_DEATH(config.Validate(), "CHECK failed") << sigma;
   }
 }
 
-TEST(SimConfigDeathTest, ValidateRejectsUnresolvedAutoPartitionSentinel) {
-  // --partitions=auto must be resolved (BuildSimConfig) before the config
-  // reaches Validate; the raw sentinel is never a legal partition count.
-  SimConfig config;
-  config.num_partitions = kAutoPartitions;
-  EXPECT_DEATH(config.Validate(), "CHECK failed");
-}
-
-TEST(SimConfig, ResolveAutoPartitionsClampsToHostsAndEngineCap) {
-  // Whatever the machine reports, the result is a legal partition count:
-  // at least 1, never more than the host count or the engine cap.
-  for (const int hosts : {1, 2, 3, kMaxPartitions, Directory::kMaxHosts}) {
-    const int resolved = ResolveAutoPartitions(hosts);
-    EXPECT_GE(resolved, 1) << hosts;
-    EXPECT_LE(resolved, hosts) << hosts;
-    EXPECT_LE(resolved, kMaxPartitions) << hosts;
-  }
-}
-
-TEST(SimConfig, ValidateAcceptsPartitionCountRange) {
-  for (int partitions : {1, 2, kMaxPartitions}) {
+TEST(SimConfig, ValidateAcceptsFlashNoiseRange) {
+  for (const double sigma : {0.0, 0.3, 2.0}) {
     SimConfig config;
-    config.num_hosts = kMaxPartitions;
-    config.num_partitions = partitions;
+    config.timing.flash_noise_sigma = sigma;
     config.Validate();  // must not abort
   }
 }
@@ -145,14 +116,6 @@ TEST(SimConfig, SummaryDescribesConfiguration) {
   EXPECT_EQ(summary.find("persistent"), std::string::npos);
   config.timing.persistent_flash = true;
   EXPECT_NE(config.Summary().find("persistent"), std::string::npos);
-}
-
-TEST(SimConfig, SummaryNamesPartitionCountWhenPartitioned) {
-  SimConfig config;
-  EXPECT_EQ(config.Summary().find("partitions="), std::string::npos);
-  config.num_hosts = 8;
-  config.num_partitions = 4;
-  EXPECT_NE(config.Summary().find("partitions=4"), std::string::npos);
 }
 
 TEST(ArchitectureNames, RoundTrip) {

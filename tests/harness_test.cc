@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -156,47 +158,39 @@ TEST(Sinks, MetricsRoundTripThroughJson) {
   EXPECT_DOUBLE_EQ(restored->ftl_write_amplification, metrics.ftl_write_amplification);
 }
 
-TEST(Sinks, CertifiedBatchCountersRoundTripThroughJson) {
-  // A partitioned run populates the batch-occupancy counters; they must
-  // survive the serialize -> parse -> restore cycle with their nonzero
-  // values, and legacy snapshots without the keys must restore to 0.
-  ExperimentParams params = SmallParams();
-  params.hosts = 4;
-  params.threads_per_host = 2;
-  params.num_partitions = 4;
-  const Metrics metrics = RunExperiment(params).metrics;
-  ASSERT_GT(metrics.certified_ram_batched + metrics.certified_flash_batched +
-                metrics.certified_write_batched,
-            0u)
-      << "partitioned run certified nothing — the round-trip would be vacuous";
-
-  const std::string text = MetricsToJson(metrics).Dump(2);
-  const std::optional<JsonValue> reparsed = JsonValue::Parse(text);
-  ASSERT_TRUE(reparsed.has_value());
-  const std::optional<Metrics> restored = MetricsFromJson(*reparsed);
+TEST(Sinks, OldSnapshotWithEngineKeysStillLoads) {
+  // tests/golden/partitioned_metrics_snapshot.json is `flashsim_cli --json`
+  // output from a build that still had the partitioned engine: it carries
+  // the certified_* batch counters and an "engine" block. MetricsFromJson
+  // must still restore it, keep every field it knows bit-for-bit, and drop
+  // exactly those four keys.
+  const std::string path =
+      std::string(FLASHSIM_SOURCE_DIR) + "/tests/golden/partitioned_metrics_snapshot.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::optional<JsonValue> old_doc = JsonValue::Parse(buffer.str());
+  ASSERT_TRUE(old_doc.has_value());
+  const std::optional<Metrics> restored = MetricsFromJson(*old_doc);
   ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(MetricsToJson(*restored).Dump(2), text);
-  EXPECT_EQ(restored->certified_ram_batched, metrics.certified_ram_batched);
-  EXPECT_EQ(restored->certified_flash_batched, metrics.certified_flash_batched);
-  EXPECT_EQ(restored->certified_write_batched, metrics.certified_write_batched);
+  EXPECT_GT(restored->trace_records, 0u);
 
-  // Pre-widening snapshot (no certified_* keys) restores to the serial
-  // engine's zeros: parse a document with the keys textually removed.
-  std::string legacy_text = text;
-  for (const char* key : {"certified_ram_batched", "certified_flash_batched",
-                          "certified_write_batched"}) {
-    const size_t start = legacy_text.find(std::string("\"") + key);
-    ASSERT_NE(start, std::string::npos);
-    const size_t end = legacy_text.find('\n', start);
-    legacy_text.erase(start, end - start + 1);
+  const JsonValue restored_doc = MetricsToJson(*restored);
+  for (const auto& [key, value] : restored_doc.members()) {
+    const JsonValue* old_value = old_doc->Get(key);
+    ASSERT_NE(old_value, nullptr) << key;
+    EXPECT_EQ(old_value->Dump(), value.Dump()) << key;
   }
-  const std::optional<JsonValue> legacy_json = JsonValue::Parse(legacy_text);
-  ASSERT_TRUE(legacy_json.has_value());
-  const std::optional<Metrics> legacy = MetricsFromJson(*legacy_json);
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->certified_ram_batched, 0u);
-  EXPECT_EQ(legacy->certified_flash_batched, 0u);
-  EXPECT_EQ(legacy->certified_write_batched, 0u);
+  std::vector<std::string> dropped;
+  for (const auto& [key, value] : old_doc->members()) {
+    if (restored_doc.Get(key) == nullptr) {
+      dropped.push_back(key);
+    }
+  }
+  EXPECT_EQ(dropped, (std::vector<std::string>{"certified_ram_batched",
+                                               "certified_flash_batched",
+                                               "certified_write_batched", "engine"}));
 }
 
 TEST(Sinks, ShardedMetricsRoundTripThroughJson) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/core/experiment.h"
 #include "tests/stack_test_util.h"
 
 namespace flashsim {
@@ -176,6 +179,78 @@ TEST(Simulation, InvariantsHoldAfterChurn) {
   sim.Run(source);
   sim.CheckInvariants();
   EXPECT_GT(sim.events_processed(), 2000u);
+}
+
+// Field-exhaustive bit-level metrics comparison, down to the raw Welford
+// accumulators (double addition is not associative, so matching mean bits
+// proves the exact same dispatch order).
+void ExpectMetricsIdentical(const Metrics& a, const Metrics& b, const std::string& label) {
+  SCOPED_TRACE(label);
+  auto expect_latency_equal = [](const LatencyRecorder& x, const LatencyRecorder& y,
+                                 const char* which) {
+    SCOPED_TRACE(which);
+    EXPECT_EQ(x.stats().count(), y.stats().count());
+    EXPECT_EQ(x.stats().mean(), y.stats().mean());
+    EXPECT_EQ(x.stats().raw_m2(), y.stats().raw_m2());
+    EXPECT_EQ(x.stats().raw_min(), y.stats().raw_min());
+    EXPECT_EQ(x.stats().raw_max(), y.stats().raw_max());
+    EXPECT_EQ(x.stats().sum(), y.stats().sum());
+    EXPECT_EQ(x.histogram().buckets(), y.histogram().buckets());
+  };
+  expect_latency_equal(a.read_latency, b.read_latency, "read_latency");
+  expect_latency_equal(a.write_latency, b.write_latency, "write_latency");
+  EXPECT_EQ(a.read_level_blocks, b.read_level_blocks);
+  EXPECT_EQ(a.measured_read_blocks, b.measured_read_blocks);
+  EXPECT_EQ(a.measured_write_blocks, b.measured_write_blocks);
+  EXPECT_EQ(a.warmup_blocks, b.warmup_blocks);
+  EXPECT_EQ(a.trace_records, b.trace_records);
+  EXPECT_EQ(a.consistency_writes, b.consistency_writes);
+  EXPECT_EQ(a.invalidating_writes, b.invalidating_writes);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.index_rehashes, b.index_rehashes);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.filer_fast_reads, b.filer_fast_reads);
+  EXPECT_EQ(a.filer_slow_reads, b.filer_slow_reads);
+  EXPECT_EQ(a.filer_writes, b.filer_writes);
+  EXPECT_TRUE(a.stack_totals == b.stack_totals);
+  EXPECT_EQ(a.writebacks_enqueued, b.writebacks_enqueued);
+  EXPECT_EQ(a.writebacks_completed, b.writebacks_completed);
+  EXPECT_EQ(a.writebacks_in_flight, b.writebacks_in_flight);
+  EXPECT_EQ(a.dirty_resident, b.dirty_resident);
+}
+
+ExperimentParams MultiHostParams() {
+  ExperimentParams params;
+  params.hosts = 8;
+  params.threads_per_host = 4;
+  params.scale = 4096;
+  params.working_set_gib = 40.0;
+  return params;
+}
+
+TEST(Simulation, PreSizedMultiHostRunNeverRehashes) {
+  // The cache indexes, the directory's holders index and the event heap are
+  // all reserved up front, so a multi-host run must finish with zero
+  // load-triggered rehashes on every architecture.
+  for (const Architecture arch : kAllArchitectures) {
+    ExperimentParams params = MultiHostParams();
+    params.arch = arch;
+    const Metrics m = RunExperiment(params).metrics;
+    EXPECT_GT(m.trace_records, 0u) << ArchitectureName(arch);
+    EXPECT_EQ(m.index_rehashes, 0u) << ArchitectureName(arch) << ": pre-sizing regressed";
+  }
+}
+
+TEST(Simulation, AuditorDoesNotPerturbMetrics) {
+  // The auditor only reads cache and writer state, so an audited run must
+  // match the unaudited one bit for bit (and pass its own audit).
+  for (const Architecture arch : kAllArchitectures) {
+    ExperimentParams params = MultiHostParams();
+    params.arch = arch;
+    const Metrics plain = RunExperiment(params).metrics;
+    params.audit = true;
+    ExpectMetricsIdentical(plain, RunExperiment(params).metrics, ArchitectureName(arch));
+  }
 }
 
 TEST(SimulationDeathTest, CannotRunTwice) {

@@ -194,78 +194,81 @@ TEST(TelemetryHistogram, MergeWithEmptySides) {
 
 // --- Batched recording (DESIGN.md §13) -------------------------------------
 
+// Test-side unbatched reference: the per-value update a histogram would do
+// without staging (count, sum, min, max over clamped values, plus the
+// shared LatencyHistogram buckets).
+struct UnbatchedReference {
+  LatencyHistogram buckets;
+  int64_t sum = 0;
+  int64_t min = 0;
+  int64_t max = 0;
+
+  void Record(int64_t value_ns) {
+    buckets.Add(value_ns);
+    if (value_ns < 0) {
+      value_ns = 0;
+    }
+    sum += value_ns;
+    if (buckets.count() == 1 || value_ns < min) {
+      min = value_ns;
+    }
+    if (buckets.count() == 1 || value_ns > max) {
+      max = value_ns;
+    }
+  }
+};
+
+void ExpectMatchesReference(const obs::Histogram& batched, const UnbatchedReference& plain,
+                            int at) {
+  EXPECT_EQ(batched.count(), plain.buckets.count()) << at;
+  EXPECT_EQ(batched.sum(), plain.sum) << at;
+  EXPECT_EQ(batched.min(), plain.buckets.count() == 0 ? 0 : plain.min) << at;
+  EXPECT_EQ(batched.max(), plain.buckets.count() == 0 ? 0 : plain.max) << at;
+  EXPECT_EQ(batched.buckets().buckets(), plain.buckets.buckets()) << at;
+  EXPECT_EQ(batched.p999(), plain.buckets.Quantile(0.999)) << at;
+}
+
 TEST(TelemetryHistogram, BatchedModeIsByteIdenticalToUnbatched) {
   // The same value stream, with reads interleaved at awkward points (mid
-  // batch, exactly at capacity, right after a flush), must serialize to the
-  // same bytes and answer every getter identically in both modes.
+  // batch, exactly at capacity, right after a flush), must answer every
+  // getter exactly as the per-value reference does.
   obs::Histogram batched;
-  batched.set_batched(true);
-  obs::Histogram plain;
+  UnbatchedReference plain;
   std::mt19937_64 rng(99);
   for (int i = 0; i < 1000; ++i) {
     const int64_t v = static_cast<int64_t>(rng() % 3000000) - 50;  // negatives included
     batched.Record(v);
     plain.Record(v);
     if (i % 97 == 0 || i % 64 == 63) {
-      EXPECT_EQ(batched.count(), plain.count()) << i;
-      EXPECT_EQ(batched.min(), plain.min()) << i;
-      EXPECT_EQ(batched.max(), plain.max()) << i;
-      EXPECT_EQ(batched.Serialize(), plain.Serialize()) << i;
+      ExpectMatchesReference(batched, plain, i);
     }
   }
-  EXPECT_EQ(batched.Serialize(), plain.Serialize());
-  EXPECT_EQ(batched.sum(), plain.sum());
-  EXPECT_EQ(batched.p999(), plain.p999());
-  EXPECT_TRUE(batched.batched());  // reads drain the batch, not the mode
+  ExpectMatchesReference(batched, plain, 1000);
 }
 
-TEST(TelemetryHistogram, BatchedMergePreservesModeAndState) {
-  // Merging into an empty batched histogram adopts the other side's state
-  // but keeps recording batched; staged values on either side are drained
-  // before merging.
-  obs::Histogram batched;
-  batched.set_batched(true);
+TEST(TelemetryHistogram, MergeDrainsStagedValues) {
+  // Merging into an empty histogram adopts the other side's state; staged
+  // values on either side are drained before merging.
+  obs::Histogram merged;
   obs::Histogram source;
   source.Record(10);
   source.Record(20);
-  batched.Merge(source);
-  EXPECT_TRUE(batched.batched());
-  EXPECT_EQ(batched.count(), 2u);
+  merged.Merge(source);
+  EXPECT_EQ(merged.count(), 2u);
 
   obs::Histogram staged;
-  staged.set_batched(true);
   staged.Record(30);  // still staged when the merge happens
-  batched.Merge(staged);
-  EXPECT_EQ(batched.count(), 3u);
-  EXPECT_EQ(batched.sum(), 60);
-  EXPECT_EQ(batched.min(), 10);
-  EXPECT_EQ(batched.max(), 30);
+  merged.Merge(staged);
+  EXPECT_EQ(merged.count(), 3u);
+  EXPECT_EQ(merged.sum(), 60);
+  EXPECT_EQ(merged.min(), 10);
+  EXPECT_EQ(merged.max(), 30);
 
   obs::Histogram plain;
   for (const int64_t v : {10, 20, 30}) {
     plain.Record(v);
   }
-  EXPECT_EQ(batched.Serialize(), plain.Serialize());
-}
-
-TEST(TelemetryDeterminism, BatchedTelemetryProducesIdenticalRunBytes) {
-  // A real instrumented run with batched recording (the default) must emit
-  // byte-identical histograms, stats JSON, and metrics to the same run with
-  // batching off.
-  ExperimentParams params;
-  params.scale = 4096;
-  params.telemetry.histograms = true;
-  params.telemetry.sample_stride_ns = 10 * kMillisecond;
-  ASSERT_TRUE(params.telemetry.batched);  // batched is the default
-  const ExperimentResult batched = RunExperiment(params);
-  params.telemetry.batched = false;
-  const ExperimentResult plain = RunExperiment(params);
-  ASSERT_NE(batched.telemetry, nullptr);
-  ASSERT_NE(plain.telemetry, nullptr);
-  EXPECT_EQ(batched.telemetry->SerializeHistograms(),
-            plain.telemetry->SerializeHistograms());
-  EXPECT_EQ(batched.telemetry->StatsJson().Dump(), plain.telemetry->StatsJson().Dump());
-  EXPECT_EQ(MetricsToJson(batched.metrics).Dump(), MetricsToJson(plain.metrics).Dump());
+  EXPECT_EQ(merged.Serialize(), plain.Serialize());
 }
 
 TEST(Telemetry, MergeFromMatchesByNameAndAppendsUnknown) {
