@@ -82,10 +82,13 @@ void BM_PoissonSample(benchmark::State& state) {
 BENCHMARK(BM_PoissonSample)->Arg(1)->Arg(100);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
+  struct NoopHandler : EventHandler {
+    void HandleEvent(SimTime, uint32_t, uint64_t) override {}
+  } handler;
   for (auto _ : state) {
     EventQueue queue;
     for (int i = 0; i < 1000; ++i) {
-      queue.ScheduleAt(i, [](SimTime) {});
+      queue.ScheduleEvent(i, &handler, 0);
     }
     queue.RunToCompletion();
   }

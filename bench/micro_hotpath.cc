@@ -1,8 +1,7 @@
-// Hot-path throughput baseline: events/sec through the discrete-event core
-// (typed, pooled-callback, and the pre-PR legacy queue kept in-tree as the
-// regression reference) and simulated-ops/sec across the three cache
-// architectures, plus the micro_components component paths (cache index,
-// LRU chain, timeline resource).
+// Hot-path throughput baseline: events/sec through the discrete-event core,
+// simulated-ops/sec across the three cache architectures, records/sec
+// through the trace reader, plus the micro_components component paths
+// (cache index, LRU chain, timeline resource).
 //
 // `--out=json` emits the rows through the harness JSON sink; the committed
 // BENCH_hotpath.json at the repo root is that output, recorded in Release
@@ -17,10 +16,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -28,7 +26,6 @@
 #include "bench/bench_util.h"
 #include "src/cache/lru_cache.h"
 #include "src/core/simulation.h"
-#include "src/trace/fast_source.h"
 #include "src/trace/trace_file.h"
 #include "src/util/json.h"
 #include "src/sim/event_queue.h"
@@ -53,48 +50,6 @@ uint64_t HashString(const std::string& s) {
   }
   return h;
 }
-
-// The pre-PR event queue — a binary std::priority_queue of type-erased
-// std::function entries, copied out before pop — replicated here so the
-// speedup over it stays measurable in-tree after the real queue moved on.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void(SimTime)>;
-
-  void ScheduleAt(SimTime when, Callback cb) {
-    heap_.push(Entry{when, next_seq_++, std::move(cb)});
-  }
-
-  SimTime RunToCompletion() {
-    while (!heap_.empty()) {
-      Entry entry = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      now_ = entry.when;
-      ++events_processed_;
-      entry.cb(now_);
-    }
-    return now_;
-  }
-
-  uint64_t events_processed() const { return events_processed_; }
-
- private:
-  struct Entry {
-    SimTime when;
-    uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t events_processed_ = 0;
-};
 
 // Every workload keeps this many events outstanding — the shape of a
 // simulator run with 64 application threads, each one I/O in flight.
@@ -134,30 +89,6 @@ BenchRow BenchTypedEvents(uint64_t events) {
   const auto start = Clock::now();
   queue.RunToCompletion();
   return BenchRow{"event_typed", queue.events_processed(), SecondsSince(start)};
-}
-
-// Callback path: a self-rescheduling 16-byte capture, identical workload on
-// either queue.
-template <typename Queue>
-BenchRow BenchCallbackEvents(const std::string& name, uint64_t events) {
-  Queue queue;
-  uint64_t remaining = events > kOutstanding ? events - kOutstanding : 0;
-  struct Pump {
-    Queue* queue;
-    uint64_t* remaining;
-    void operator()(SimTime now) const {
-      if (*remaining > 0) {
-        --*remaining;
-        queue->ScheduleAt(now + 100, *this);
-      }
-    }
-  };
-  for (int i = 0; i < kOutstanding; ++i) {
-    queue.ScheduleAt(i, Pump{&queue, &remaining});
-  }
-  const auto start = Clock::now();
-  queue.RunToCompletion();
-  return BenchRow{name, queue.events_processed(), SecondsSince(start)};
 }
 
 BenchRow BenchSimulation(Architecture arch, uint64_t ops,
@@ -226,10 +157,9 @@ BenchRow BenchSimulationTelemetry(uint64_t ops) {
   return BenchSimulation(Architecture::kNaive, ops, telemetry, "_telem");
 }
 
-// Trace-ingestion rows: the same records read back through each front end.
-// trace_ingest_text and trace_ingest_binary stream through stdio
-// (FileTraceSource); trace_ingest_mmap walks the mapped file. Temp files
-// are written once and removed before returning.
+// Trace-ingestion rows: the same records read back in each format through
+// OpenTraceSource. Temp files are written once and removed before
+// returning.
 std::string IngestTempPath(const char* suffix) {
   char path[64];
   std::snprintf(path, sizeof(path), "/tmp/flashsim_hotpath_%d.%s", getpid(), suffix);
@@ -272,23 +202,12 @@ std::vector<BenchRow> BenchTraceIngestAll(uint64_t records) {
   WriteIngestTrace(text_path, TraceFormat::kText, records);
   WriteIngestTrace(binary_path, TraceFormat::kBinary, records);
   std::vector<BenchRow> rows;
-  {
+  for (const auto& [name, path] : {std::pair{"trace_ingest_text", text_path},
+                                   std::pair{"trace_ingest_binary", binary_path}}) {
     std::string error;
-    auto text = BufferedTextTraceSource::Open(text_path, &error);
-    FLASHSIM_CHECK(text != nullptr);
-    rows.push_back(BenchTraceIngest("trace_ingest_text", *text, records));
-  }
-  {
-    std::string error;
-    auto binary = FileTraceSource::Open(binary_path, &error);
-    FLASHSIM_CHECK(binary != nullptr);
-    rows.push_back(BenchTraceIngest("trace_ingest_binary", *binary, records));
-  }
-  {
-    std::string error;
-    auto mapped = MmapTraceSource::Open(binary_path, &error);
-    FLASHSIM_CHECK(mapped != nullptr);
-    rows.push_back(BenchTraceIngest("trace_ingest_mmap", *mapped, records));
+    auto source = OpenTraceSource(path, &error);
+    FLASHSIM_CHECK(source != nullptr);
+    rows.push_back(BenchTraceIngest(name, *source, records));
   }
   std::remove(text_path.c_str());
   std::remove(binary_path.c_str());
@@ -419,8 +338,6 @@ int main(int argc, char** argv) {
 
   Table table({"bench", "items", "wall_ms", "items_per_sec", "ns_per_item"});
   AddRow(&table, BenchTypedEvents(events));
-  AddRow(&table, BenchCallbackEvents<EventQueue>("event_callback", events));
-  AddRow(&table, BenchCallbackEvents<LegacyEventQueue>("event_legacy", events));
   for (Architecture arch : kAllArchitectures) {
     AddRow(&table, BenchSimulation(arch, ops));
   }

@@ -42,7 +42,6 @@
 #include "src/core/experiment.h"
 #include "src/core/simulation.h"
 #include "src/harness/harness.h"
-#include "src/trace/fast_source.h"
 #include "src/trace/trace_file.h"
 #include "src/util/table.h"
 #include "src/util/time_series.h"

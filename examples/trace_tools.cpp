@@ -14,7 +14,6 @@
 #include "src/core/simulation.h"
 #include "src/trace/csv_import.h"
 #include "src/tracegen/generator.h"
-#include "src/trace/fast_source.h"
 #include "src/trace/trace_file.h"
 #include "src/trace/trace_stats.h"
 
@@ -109,7 +108,7 @@ int Generate(const std::string& path, int argc, char** argv) {
 
 int Stats(const std::string& path) {
   std::string error;
-  auto source = FileTraceSource::Open(path, &error);
+  auto source = OpenTraceSource(path, &error);
   if (source == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;

@@ -1,9 +1,6 @@
-// The on-disk trace record codec, shared by every reader and writer
-// (trace_file.cc's streaming FILE* sources and fast_source.cc's
-// mmap/block-buffered ones). One definition of the byte layout and the
-// validation rules means the readers cannot drift apart: a record either
-// decodes identically everywhere or is rejected identically everywhere —
-// the property tests/trace_fuzz_test.cc checks record-for-record.
+// The on-disk trace record codec, shared by the reader and writer in
+// trace_file.cc and by the fuzz tests: one definition of the byte layout
+// and the validation rules.
 //
 //   Text ("fsim-text v1"): one record per line,
 //     <R|W> <host> <thread> <file> <block> <count> [w]
@@ -117,8 +114,8 @@ inline bool ScanTraceTextU64(const char** cursor, unsigned long long* out) {
   return true;
 }
 
-// Parses one text-format line (as delivered by an fgets-style read: at most
-// 255 chars plus NUL, newline included when it fit). Accepts exactly what
+// Parses one NUL-terminated text-format line of any length (a trailing
+// newline is optional and changes nothing). Accepts exactly what
 // sscanf(" %c %llu %llu %llu %llu %llu %7s") accepts, field for field: the op
 // is the first non-space char whatever follows it ("R12 0 1 2 3" is host
 // 12), and a record is a warmup one when the next token after the count

@@ -1,5 +1,8 @@
 #include "src/trace/trace_file.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 
@@ -8,20 +11,10 @@
 
 namespace flashsim {
 
-namespace {
-
-// Byte layout and validation live in src/trace/codec.h, shared with the
-// fast readers in fast_source.cc.
-constexpr size_t kBinaryMagicLen = kTraceBinaryMagicLen;
-constexpr size_t kBinaryRecordSize = kTraceBinaryRecordSize;
-
-}  // namespace
-
 // ----------------------------------------------------------------------------
 // FileTraceSource
 
-std::unique_ptr<FileTraceSource> FileTraceSource::Open(const std::string& path,
-                                                       std::string* error) {
+std::unique_ptr<FileTraceSource> OpenTraceSource(const std::string& path, std::string* error) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     if (error != nullptr) {
@@ -29,75 +22,135 @@ std::unique_ptr<FileTraceSource> FileTraceSource::Open(const std::string& path,
     }
     return nullptr;
   }
-  char magic[kBinaryMagicLen];
-  const size_t got = std::fread(magic, 1, kBinaryMagicLen, file);
-  TraceFormat format = TraceFormat::kText;
-  long data_offset = 0;
-  if (got == kBinaryMagicLen && std::memcmp(magic, kTraceBinaryMagic, kBinaryMagicLen) == 0) {
-    format = TraceFormat::kBinary;
-    data_offset = static_cast<long>(kBinaryMagicLen);
-  } else {
-    std::rewind(file);
-  }
-  return std::unique_ptr<FileTraceSource>(new FileTraceSource(file, format, data_offset));
+  return std::unique_ptr<FileTraceSource>(new FileTraceSource(file));
 }
 
-FileTraceSource::FileTraceSource(std::FILE* file, TraceFormat format, long data_offset)
-    : file_(file), format_(format), data_offset_(data_offset) {}
-
-FileTraceSource::~FileTraceSource() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
+FileTraceSource::FileTraceSource(std::FILE* file)
+    : file_(file), buf_(kTraceReadBlockBytes + 1) {
+  Refill();
+  if (len_ >= kTraceBinaryMagicLen &&
+      std::memcmp(buf_.data(), kTraceBinaryMagic, kTraceBinaryMagicLen) == 0) {
+    format_ = TraceFormat::kBinary;
+    pos_ = kTraceBinaryMagicLen;
+    struct stat st;
+    if (::fstat(::fileno(file_), &st) == 0 && S_ISREG(st.st_mode)) {
+      size_hint_ = (static_cast<uint64_t>(st.st_size) - kTraceBinaryMagicLen) /
+                   kTraceBinaryRecordSize;
+    }
   }
+}
+
+FileTraceSource::~FileTraceSource() { std::fclose(file_); }
+
+void FileTraceSource::Refill() {
+  const size_t avail = len_ - pos_;
+  std::memmove(buf_.data(), buf_.data() + pos_, avail);
+  pos_ = 0;
+  len_ = avail;
+  const size_t want = kTraceReadBlockBytes - len_;
+  const size_t got = std::fread(buf_.data() + len_, 1, want, file_);
+  len_ += got;
+  // fread returns short only at end of input or on an error; stop either way.
+  eof_ = got < want;
 }
 
 bool FileTraceSource::Next(TraceRecord* record) {
-  const bool ok = format_ == TraceFormat::kText ? NextText(record) : NextBinary(record);
-  if (ok) {
-    ++records_read_;
-  }
-  return ok;
+  return format_ == TraceFormat::kText ? NextText(record) : NextBinary(record);
 }
 
 bool FileTraceSource::NextText(TraceRecord* record) {
-  char line[256];
-  while (std::fgets(line, sizeof(line), file_) != nullptr) {
-    ++line_;
+  for (;;) {
+    char* const line = buf_.data() + pos_;
+    char* end = static_cast<char*>(std::memchr(line, '\n', len_ - pos_));
+    if (end == nullptr) {
+      if (!eof_) {
+        if (pos_ == 0 && len_ == kTraceReadBlockBytes) {
+          SkipOverlongLine();
+        } else {
+          Refill();
+        }
+        continue;
+      }
+      if (pos_ == len_) {
+        return false;
+      }
+      end = buf_.data() + len_;  // the last line has no '\n'
+    }
+    // The parser stops at a NUL exactly where it would stop at the '\n'.
+    *end = '\0';
+    pos_ = std::min(static_cast<size_t>(end - buf_.data()) + 1, len_);
+    ++entry_;
     switch (ParseTraceTextLine(line, record)) {
       case TextLineResult::kSkip:
         continue;
       case TextLineResult::kMalformed:
         if (error_line_ == 0) {
-          error_line_ = line_;
+          error_line_ = entry_;
         }
         continue;  // Tolerate malformed lines; record where the first one was.
       case TextLineResult::kRecord:
         return true;
     }
   }
-  return false;
+}
+
+void FileTraceSource::SkipOverlongLine() {
+  ++entry_;
+  const char* first = buf_.data();
+  const char* const stop = first + len_;
+  while (first < stop && (*first == ' ' || *first == '\t')) {
+    ++first;
+  }
+  if ((first == stop || *first != '#') && error_line_ == 0) {
+    error_line_ = entry_;
+  }
+  for (;;) {
+    const char* end = static_cast<const char*>(std::memchr(buf_.data(), '\n', len_));
+    if (end != nullptr) {
+      pos_ = static_cast<size_t>(end - buf_.data()) + 1;
+      return;
+    }
+    pos_ = len_;
+    if (eof_) {
+      return;
+    }
+    Refill();
+  }
 }
 
 bool FileTraceSource::NextBinary(TraceRecord* record) {
-  unsigned char buf[kBinaryRecordSize];
   for (;;) {
-    const size_t got = std::fread(buf, 1, kBinaryRecordSize, file_);
-    if (got != kBinaryRecordSize) {
-      return false;
+    if (len_ - pos_ < kTraceBinaryRecordSize) {
+      if (eof_) {
+        return false;  // a trailing partial record is ignored
+      }
+      Refill();  // a record straddling the block boundary is carried over
+      continue;
     }
-    if (DecodeTraceRecord(buf, record)) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
+    pos_ += kTraceBinaryRecordSize;
+    ++entry_;
+    if (DecodeTraceRecord(bytes, record)) {
       return true;
     }
     if (error_line_ == 0) {
-      error_line_ = records_read_ + 1;
+      error_line_ = entry_;
     }
   }
 }
 
 void FileTraceSource::Rewind() {
-  std::fseek(file_, data_offset_, SEEK_SET);
-  records_read_ = 0;
-  line_ = 0;
+  const bool seekable = std::fseek(file_, 0, SEEK_SET) == 0;
+  FLASHSIM_CHECK(seekable);
+  pos_ = 0;
+  len_ = 0;
+  eof_ = false;
+  entry_ = 0;
+  error_line_ = 0;
+  Refill();
+  if (format_ == TraceFormat::kBinary) {
+    pos_ = kTraceBinaryMagicLen;
+  }
 }
 
 // ----------------------------------------------------------------------------
@@ -113,7 +166,7 @@ std::unique_ptr<TraceFileWriter> TraceFileWriter::Create(const std::string& path
     return nullptr;
   }
   if (format == TraceFormat::kBinary) {
-    std::fwrite(kTraceBinaryMagic, 1, kBinaryMagicLen, file);
+    std::fwrite(kTraceBinaryMagic, 1, kTraceBinaryMagicLen, file);
   } else {
     std::fputs("# fsim-text v1: <R|W> <host> <thread> <file> <block> <count> [w]\n", file);
   }
@@ -132,9 +185,9 @@ TraceFileWriter::~TraceFileWriter() {
 void TraceFileWriter::Write(const TraceRecord& record) {
   FLASHSIM_CHECK(file_ != nullptr);
   if (format_ == TraceFormat::kBinary) {
-    unsigned char buf[kBinaryRecordSize];
+    unsigned char buf[kTraceBinaryRecordSize];
     EncodeTraceRecord(record, buf);
-    std::fwrite(buf, 1, kBinaryRecordSize, file_);
+    std::fwrite(buf, 1, kTraceBinaryRecordSize, file_);
   } else {
     // "<R|W> <host> <thread> <file> <block> <count>[ w]\n", formatted by hand:
     // a uint64_t takes at most 20 digits, so a line is at most 1 + 5 * 21 + 3

@@ -30,6 +30,32 @@ struct WriterRig {
 
 constexpr SimDuration kRoundTrip = 40968 + 92000 + 8200;  // write RTT
 
+// Foreground stand-in: an event with code kEnqueue and arg n enqueues n
+// filer writes at its fire time; kRead issues one remote read.
+class Foreground : public EventHandler {
+ public:
+  static constexpr uint32_t kEnqueue = 0;
+  static constexpr uint32_t kRead = 1;
+
+  explicit Foreground(WriterRig* rig) : rig_(rig) {}
+
+  void HandleEvent(SimTime now, uint32_t code, uint64_t arg) override {
+    if (code == kRead) {
+      bool fast = false;
+      read_done = rig_->remote->Read(now, /*key=*/0, &fast);
+      return;
+    }
+    for (uint64_t i = 0; i < arg; ++i) {
+      rig_->writer->EnqueueFilerWrite(now, false);
+    }
+  }
+
+  SimTime read_done = 0;
+
+ private:
+  WriterRig* rig_;
+};
+
 TEST(BackgroundWriter, BurstDrainsAtOnePerRoundTrip) {
   WriterRig rig(1);
   const int n = 100;
@@ -44,10 +70,11 @@ TEST(BackgroundWriter, BurstDrainsAtOnePerRoundTrip) {
 
 TEST(BackgroundWriter, StaggeredEnqueuesKeepPendingBounded) {
   WriterRig rig(1);
+  Foreground foreground(&rig);
   // Enqueue slower than the drain rate: pending never exceeds 2.
   SimTime t = 0;
   for (int i = 0; i < 50; ++i) {
-    rig.queue.ScheduleAt(t, [&](SimTime now) { rig.writer->EnqueueFilerWrite(now, false); });
+    rig.queue.ScheduleEvent(t, &foreground, Foreground::kEnqueue, 1);
     t += 2 * kRoundTrip;
   }
   rig.queue.RunToCompletion();
@@ -60,17 +87,15 @@ TEST(BackgroundWriter, ForegroundReadsInterleaveWithBacklog) {
   // still gets the link promptly: the writer leaves the link idle while it
   // waits for each ack, and the gap-aware link lets the read slip in.
   WriterRig rig(1);
+  Foreground foreground(&rig);
   for (int i = 0; i < 50; ++i) {
     rig.writer->EnqueueFilerWrite(0, false);
   }
-  SimTime read_done = 0;
-  rig.queue.ScheduleAt(kRoundTrip / 2, [&](SimTime now) {
-    bool fast = false;
-    read_done = rig.remote->Read(now, /*key=*/0, &fast);
-  });
+  rig.queue.ScheduleEvent(kRoundTrip / 2, &foreground, Foreground::kRead);
   rig.queue.RunToCompletion();
   // The read finishes in ~1-2 round trips, not after the 50-write backlog.
-  EXPECT_LT(read_done, kRoundTrip * 4);
+  EXPECT_GT(foreground.read_done, kRoundTrip / 2);
+  EXPECT_LT(foreground.read_done, kRoundTrip * 4);
 }
 
 TEST(BackgroundWriter, WindowNStartsNWritesTogether) {
@@ -88,18 +113,15 @@ TEST(BackgroundWriter, WindowNStartsNWritesTogether) {
 
 TEST(BackgroundWriter, CountsStayConsistentUnderRandomLoad) {
   WriterRig rig(3);
+  Foreground foreground(&rig);
   Rng rng(5);
   uint64_t enqueued = 0;
   SimTime t = 0;
   for (int i = 0; i < 500; ++i) {
     t += static_cast<SimTime>(rng.NextBounded(200000));
-    const int burst = static_cast<int>(rng.NextBounded(4)) + 1;
-    rig.queue.ScheduleAt(t, [&rig, burst](SimTime now) {
-      for (int j = 0; j < burst; ++j) {
-        rig.writer->EnqueueFilerWrite(now, false);
-      }
-    });
-    enqueued += static_cast<uint64_t>(burst);
+    const uint64_t burst = rng.NextBounded(4) + 1;
+    rig.queue.ScheduleEvent(t, &foreground, Foreground::kEnqueue, burst);
+    enqueued += burst;
   }
   rig.queue.RunToCompletion();
   EXPECT_EQ(rig.writer->enqueued(), enqueued);

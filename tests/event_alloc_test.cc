@@ -1,6 +1,5 @@
-// Proves the zero-allocation acceptance for the event core: once the queue
-// is warm (heap reserved, callback pool populated), scheduling and
-// dispatching typed events and inline-capture callbacks performs zero heap
+// Proves the zero-allocation acceptance for the event core: once the heap
+// is reserved, scheduling and dispatching typed events performs zero heap
 // allocations. The whole binary's global operator new/delete are replaced
 // with counting wrappers; tests snapshot the counter around a steady-state
 // run and assert a zero delta.
@@ -76,65 +75,6 @@ TEST(EventAllocation, SteadyStateTypedEventsAllocateNothing) {
 
   EXPECT_GT(queue.events_processed(), kSteadyEvents);
   EXPECT_EQ(after - before, 0u) << "typed event dispatch hit the allocator";
-}
-
-TEST(EventAllocation, SteadyStateInlineCallbacksAllocateNothing) {
-  EventQueue queue;
-  queue.Reserve(kOutstanding);
-  uint64_t remaining = kWarmupEvents + kSteadyEvents;
-  struct Pump {  // 16-byte capture: well inside the inline slot budget
-    EventQueue* queue;
-    uint64_t* remaining;
-    void operator()(SimTime now) const {
-      if (*remaining > 0) {
-        --*remaining;
-        queue->ScheduleAt(now + 100, *this);
-      }
-    }
-  };
-  for (int i = 0; i < kOutstanding; ++i) {
-    queue.ScheduleAt(i, Pump{&queue, &remaining});
-  }
-  queue.RunUntil(100 * (kWarmupEvents / kOutstanding + 2));
-  ASSERT_GT(queue.events_processed(), kWarmupEvents / 2);
-
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  queue.RunToCompletion();
-  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_GT(queue.events_processed(), kSteadyEvents);
-  EXPECT_EQ(after - before, 0u) << "inline callback path hit the allocator";
-}
-
-TEST(EventAllocation, WarmOverflowCallbacksAllocateNothing) {
-  // Oversized captures use overflow chunks; once a chunk slab exists, the
-  // schedule/dispatch cycle must recycle it without touching the allocator.
-  EventQueue queue;
-  queue.Reserve(kOutstanding);
-  struct Big {  // forces the overflow path
-    EventQueue* queue;
-    uint64_t* remaining;
-    unsigned char pad[64] = {};
-    void operator()(SimTime now) const {
-      if (*remaining > 0) {
-        --*remaining;
-        queue->ScheduleAt(now + 100, *this);
-      }
-    }
-  };
-  static_assert(sizeof(Big) > EventQueue::kInlineCallbackBytes);
-  uint64_t remaining = kWarmupEvents + kSteadyEvents / 10;
-  for (int i = 0; i < kOutstanding; ++i) {
-    queue.ScheduleAt(i, Big{&queue, &remaining});
-  }
-  queue.RunUntil(100 * (kWarmupEvents / kOutstanding + 2));
-  ASSERT_GT(queue.events_processed(), kWarmupEvents / 2);
-
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  queue.RunToCompletion();
-  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(after - before, 0u) << "warm overflow path hit the allocator";
 }
 
 }  // namespace

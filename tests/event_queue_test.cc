@@ -2,98 +2,117 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <memory>
+#include <functional>
 #include <vector>
 
 namespace flashsim {
 namespace {
 
-// Appends each event's arg to a shared order vector.
+struct Fired {
+  SimTime now;
+  uint32_t code;
+  uint64_t arg;
+
+  bool operator==(const Fired&) const = default;
+};
+
+// Records every (now, code, arg) it is handed, then runs the optional hook
+// (which may schedule more events).
 class RecordingHandler : public EventHandler {
  public:
-  explicit RecordingHandler(std::vector<int>* order) : order_(order) {}
-
-  void HandleEvent(SimTime /*now*/, uint32_t /*code*/, uint64_t arg) override {
-    order_->push_back(static_cast<int>(arg));
+  void HandleEvent(SimTime now, uint32_t code, uint64_t arg) override {
+    fired.push_back(Fired{now, code, arg});
+    if (hook) {
+      hook(now, code, arg);
+    }
   }
 
- private:
-  std::vector<int>* order_;
+  std::vector<uint64_t> Args() const {
+    std::vector<uint64_t> args;
+    for (const Fired& f : fired) {
+      args.push_back(f.arg);
+    }
+    return args;
+  }
+
+  std::vector<Fired> fired;
+  std::function<void(SimTime, uint32_t, uint64_t)> hook;
 };
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.ScheduleAt(30, [&](SimTime) { order.push_back(3); });
-  queue.ScheduleAt(10, [&](SimTime) { order.push_back(1); });
-  queue.ScheduleAt(20, [&](SimTime) { order.push_back(2); });
+  RecordingHandler handler;
+  queue.ScheduleEvent(30, &handler, 0, 3);
+  queue.ScheduleEvent(10, &handler, 0, 1);
+  queue.ScheduleEvent(20, &handler, 0, 2);
   queue.RunToCompletion();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(handler.Args(), (std::vector<uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, EqualTimesRunInScheduleOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    queue.ScheduleAt(5, [&, i](SimTime) { order.push_back(i); });
+  RecordingHandler handler;
+  for (uint64_t i = 0; i < 10; ++i) {
+    queue.ScheduleEvent(5, &handler, 0, i);
   }
   queue.RunToCompletion();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
+  EXPECT_EQ(handler.Args(), (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(EventQueue, CallbackSeesEventTime) {
+TEST(EventQueue, TypedEventsDispatchTimeCodeAndArg) {
   EventQueue queue;
-  SimTime seen = -1;
-  queue.ScheduleAt(123, [&](SimTime now) { seen = now; });
+  RecordingHandler handler;
+  queue.ScheduleEvent(42, &handler, 7, 0xdeadbeefULL);
   queue.RunToCompletion();
-  EXPECT_EQ(seen, 123);
-  EXPECT_EQ(queue.Now(), 123);
+  EXPECT_EQ(handler.fired, (std::vector<Fired>{{42, 7, 0xdeadbeefULL}}));
+  EXPECT_EQ(queue.Now(), 42);
+  EXPECT_EQ(queue.events_processed(), 1u);
 }
 
-TEST(EventQueue, CallbacksCanScheduleMore) {
+TEST(EventQueue, HandlersCanScheduleMore) {
   EventQueue queue;
-  int fired = 0;
-  std::function<void(SimTime)> chain = [&](SimTime now) {
-    ++fired;
-    if (fired < 5) {
-      queue.ScheduleAt(now + 10, chain);
+  RecordingHandler handler;
+  handler.hook = [&](SimTime now, uint32_t code, uint64_t arg) {
+    if (arg < 4) {
+      queue.ScheduleEvent(now + 10, &handler, code, arg + 1);
     }
   };
-  queue.ScheduleAt(0, chain);
+  queue.ScheduleEvent(0, &handler, 0, 0);
   const SimTime end = queue.RunToCompletion();
-  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(handler.fired.size(), 5u);
   EXPECT_EQ(end, 40);
 }
 
-TEST(EventQueue, ScheduleAfterUsesCurrentTime) {
+TEST(EventQueue, ScheduleEventAfterUsesCurrentTime) {
   EventQueue queue;
-  SimTime second_fire = -1;
-  queue.ScheduleAt(100, [&](SimTime) {
-    queue.ScheduleAfter(50, [&](SimTime now) { second_fire = now; });
-  });
+  RecordingHandler handler;
+  handler.hook = [&](SimTime, uint32_t code, uint64_t) {
+    if (code == 0) {
+      queue.ScheduleEventAfter(50, &handler, 1);
+    }
+  };
+  queue.ScheduleEvent(100, &handler, 0);
   queue.RunToCompletion();
-  EXPECT_EQ(second_fire, 150);
+  EXPECT_EQ(handler.fired, (std::vector<Fired>{{100, 0, 0}, {150, 1, 0}}));
 }
 
 TEST(EventQueue, RunUntilLeavesLaterEvents) {
   EventQueue queue;
-  int fired = 0;
-  queue.ScheduleAt(10, [&](SimTime) { ++fired; });
-  queue.ScheduleAt(100, [&](SimTime) { ++fired; });
-  queue.RunUntil(50);
-  EXPECT_EQ(fired, 1);
+  RecordingHandler handler;
+  queue.ScheduleEvent(10, &handler, 0);
+  queue.ScheduleEvent(100, &handler, 0);
+  EXPECT_EQ(queue.RunUntil(50), 10);
+  EXPECT_EQ(handler.fired.size(), 1u);
   EXPECT_EQ(queue.size(), 1u);
   queue.RunToCompletion();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(handler.fired.size(), 2u);
 }
 
 TEST(EventQueue, CountsProcessedEvents) {
   EventQueue queue;
+  RecordingHandler handler;
   for (int i = 0; i < 7; ++i) {
-    queue.ScheduleAt(i, [](SimTime) {});
+    queue.ScheduleEvent(i, &handler, 0);
   }
   queue.RunToCompletion();
   EXPECT_EQ(queue.events_processed(), 7u);
@@ -103,165 +122,88 @@ TEST(EventQueue, ClockTracksNow) {
   EventQueue queue;
   const SimClock* clock = queue.clock();
   EXPECT_EQ(clock->now, 0);
-  queue.ScheduleAt(77, [&](SimTime) { EXPECT_EQ(clock->now, 77); });
+  RecordingHandler handler;
+  handler.hook = [&](SimTime, uint32_t, uint64_t) { EXPECT_EQ(clock->now, 77); };
+  queue.ScheduleEvent(77, &handler, 0);
   queue.RunToCompletion();
+  EXPECT_EQ(handler.fired.size(), 1u);
   EXPECT_EQ(clock->now, 77);
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastAborts) {
   EventQueue queue;
-  queue.ScheduleAt(100, [&](SimTime) {
-    EXPECT_DEATH(queue.ScheduleAt(50, [](SimTime) {}), "CHECK failed");
-  });
+  RecordingHandler handler;
+  handler.hook = [&](SimTime, uint32_t, uint64_t) {
+    EXPECT_DEATH(queue.ScheduleEvent(50, &handler, 0), "CHECK failed");
+  };
+  queue.ScheduleEvent(100, &handler, 0);
   queue.RunToCompletion();
 }
 
-TEST(EventQueueDeathTest, TypedEventInThePastAborts) {
+TEST(EventQueueDeathTest, SchedulingAfterANegativeDelayAborts) {
   EventQueue queue;
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  queue.ScheduleAt(100, [&](SimTime) {
-    EXPECT_DEATH(queue.ScheduleEvent(50, &handler, 0, 0), "CHECK failed");
-  });
+  RecordingHandler handler;
+  handler.hook = [&](SimTime, uint32_t, uint64_t) {
+    EXPECT_DEATH(queue.ScheduleEventAfter(-1, &handler, 0), "CHECK failed");
+  };
+  queue.ScheduleEvent(100, &handler, 0);
   queue.RunToCompletion();
-}
-
-TEST(EventQueue, TypedEventsDispatchCodeAndArg) {
-  EventQueue queue;
-  struct Capture : EventHandler {
-    SimTime now = -1;
-    uint32_t code = 0;
-    uint64_t arg = 0;
-    void HandleEvent(SimTime n, uint32_t c, uint64_t a) override {
-      now = n;
-      code = c;
-      arg = a;
-    }
-  } capture;
-  queue.ScheduleEvent(42, &capture, 7, 0xdeadbeefULL);
-  queue.RunToCompletion();
-  EXPECT_EQ(capture.now, 42);
-  EXPECT_EQ(capture.code, 7u);
-  EXPECT_EQ(capture.arg, 0xdeadbeefULL);
-  EXPECT_EQ(queue.events_processed(), 1u);
-}
-
-TEST(EventQueue, TypedAndCallbackEventsShareOneTimeline) {
-  // Equal-time typed and callback events fire strictly in scheduling order.
-  EventQueue queue;
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  for (int i = 0; i < 100; ++i) {
-    if (i % 2 == 0) {
-      queue.ScheduleEvent(10, &handler, 0, static_cast<uint64_t>(i));
-    } else {
-      queue.ScheduleAt(10, [&order, i](SimTime) { order.push_back(i); });
-    }
-  }
-  queue.RunToCompletion();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
 }
 
 // The determinism contract at scale: 10k events all scheduled for the same
-// timestamp, from 16 parent callbacks that interleave by rescheduling
+// timestamp, from 16 parent events that interleave by rescheduling
 // themselves at their own fire time, must run in exact FIFO-by-seq order on
-// the 4-ary heap. Alternates typed and callback children to cover both
-// representations in one total order.
-TEST(EventQueue, EqualTimeFifoAtScaleFromInterleavedCallbacks) {
-  constexpr int kChildren = 10000;
+// the 4-ary heap.
+TEST(EventQueue, EqualTimeFifoAtScaleFromInterleavedParents) {
+  constexpr uint64_t kChildren = 10000;
   constexpr int kParents = 16;
   constexpr SimTime kParentTime = 5;
   constexpr SimTime kChildTime = 1000;
+  constexpr uint32_t kParent = 0;
+  constexpr uint32_t kChild = 1;
 
   EventQueue queue;
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  int next_index = 0;
-
-  struct Parent {
-    EventQueue* queue;
-    RecordingHandler* handler;
-    std::vector<int>* order;
-    int* next_index;
-    void operator()(SimTime now) const {
-      if (*next_index >= kChildren) {
-        return;
-      }
-      const int index = (*next_index)++;
-      if (index % 2 == 0) {
-        queue->ScheduleEvent(kChildTime, handler, 0, static_cast<uint64_t>(index));
-      } else {
-        std::vector<int>* out = order;
-        queue->ScheduleAt(kChildTime, [out, index](SimTime) { out->push_back(index); });
-      }
-      // Rescheduling at the current time goes to the back of the
-      // equal-time line, interleaving the parents round-robin.
-      queue->ScheduleAt(now, *this);
+  RecordingHandler handler;
+  uint64_t next_index = 0;
+  handler.hook = [&](SimTime now, uint32_t code, uint64_t) {
+    if (code != kParent || next_index >= kChildren) {
+      return;
     }
+    queue.ScheduleEvent(kChildTime, &handler, kChild, next_index++);
+    // Rescheduling at the current time goes to the back of the equal-time
+    // line, interleaving the parents round-robin.
+    queue.ScheduleEvent(now, &handler, kParent);
   };
   for (int p = 0; p < kParents; ++p) {
-    queue.ScheduleAt(kParentTime, Parent{&queue, &handler, &order, &next_index});
+    queue.ScheduleEvent(kParentTime, &handler, kParent);
   }
   queue.RunToCompletion();
 
-  ASSERT_EQ(order.size(), static_cast<size_t>(kChildren));
-  for (int i = 0; i < kChildren; ++i) {
-    ASSERT_EQ(order[static_cast<size_t>(i)], i) << "equal-time FIFO broken at " << i;
+  std::vector<uint64_t> children;
+  for (const Fired& f : handler.fired) {
+    if (f.code == kChild) {
+      EXPECT_EQ(f.now, kChildTime);
+      children.push_back(f.arg);
+    }
+  }
+  ASSERT_EQ(children.size(), kChildren);
+  for (uint64_t i = 0; i < kChildren; ++i) {
+    ASSERT_EQ(children[i], i) << "equal-time FIFO broken at " << i;
   }
 }
 
-TEST(EventQueue, OverflowCallbacksRunAndRecycleChunks) {
-  // Captures larger than the inline budget take the slab-recycled overflow
-  // path; sequential scheduling must reuse one chunk, not accumulate.
-  EventQueue queue;
-  std::array<uint64_t, 12> big{};  // 96 bytes > kInlineCallbackBytes
-  for (size_t i = 0; i < big.size(); ++i) {
-    big[i] = i + 1;
-  }
-  static_assert(sizeof(big) > EventQueue::kInlineCallbackBytes);
-  uint64_t sum = 0;
-  for (int round = 0; round < 100; ++round) {
-    queue.ScheduleAfter(1, [big, &sum](SimTime) {
-      for (uint64_t v : big) {
-        sum += v;
-      }
-    });
-    queue.RunToCompletion();
-  }
-  EXPECT_EQ(sum, 78u * 100);
-  // One overflow slab's worth of chunks at most, recycled across rounds.
-  EXPECT_LE(queue.overflow_chunks_allocated(), 8u);
-}
-
-TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue) {
-  // RunUntil can leave events queued; their captures (here a shared_ptr)
-  // must still be released when the queue dies.
-  auto token = std::make_shared<int>(42);
-  {
-    EventQueue queue;
-    queue.ScheduleAt(100, [token](SimTime) {});
-    std::array<char, 80> pad{};  // overflow-path capture, same contract
-    queue.ScheduleAt(200, [token, pad](SimTime) { (void)pad; });
-    queue.RunUntil(50);
-    EXPECT_EQ(token.use_count(), 3);
-  }
-  EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(EventQueue, ReservePreallocatesHeapAndPool) {
+TEST(EventQueue, ReservePreallocatesHeap) {
   EventQueue queue;
   queue.Reserve(100);
-  EXPECT_GE(queue.callback_pool_slots(), 100u);
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  for (int i = 0; i < 100; ++i) {
-    queue.ScheduleEvent(i, &handler, 0, static_cast<uint64_t>(i));
+  EXPECT_GE(queue.capacity(), 100u);
+  const size_t reserved = queue.capacity();
+  RecordingHandler handler;
+  for (uint64_t i = 0; i < 100; ++i) {
+    queue.ScheduleEvent(static_cast<SimTime>(i), &handler, 0, i);
   }
+  EXPECT_EQ(queue.capacity(), reserved);
   queue.RunToCompletion();
-  EXPECT_EQ(order.size(), 100u);
+  EXPECT_EQ(handler.fired.size(), 100u);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST_F(TraceFileTest, BinaryRoundTrip) {
   }
   EXPECT_TRUE(writer->Close());
 
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->format(), TraceFormat::kBinary);
   TraceRecord r;
@@ -69,7 +69,7 @@ TEST_F(TraceFileTest, TextRoundTrip) {
   }
   EXPECT_TRUE(writer->Close());
 
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->format(), TraceFormat::kText);
   TraceRecord r;
@@ -137,7 +137,7 @@ TEST_F(TraceFileTest, RewindRestartsStream) {
   }
   writer->Close();
 
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr);
   TraceRecord r;
   while (reader->Next(&r)) {
@@ -156,7 +156,7 @@ TEST_F(TraceFileTest, TextToleratesCommentsAndBlankLines) {
   std::fclose(f);
 
   std::string error;
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr);
   TraceRecord r;
   ASSERT_TRUE(reader->Next(&r));
@@ -183,7 +183,7 @@ TEST_F(TraceFileTest, TextSkipsMalformedLinesAndReportsFirst) {
   std::fclose(f);
 
   std::string error;
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr);
   TraceRecord r;
   ASSERT_TRUE(reader->Next(&r));
@@ -196,9 +196,80 @@ TEST_F(TraceFileTest, TextSkipsMalformedLinesAndReportsFirst) {
   std::remove(path.c_str());
 }
 
+// Writes `bytes` to a temp file and drains it, returning the records.
+std::vector<TraceRecord> ReadAll(const std::string& path, const std::string& bytes,
+                                 uint64_t* error_line) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  std::string error;
+  auto reader = OpenTraceSource(path, &error);
+  EXPECT_NE(reader, nullptr) << error;
+  std::vector<TraceRecord> records;
+  TraceRecord r;
+  while (reader->Next(&r)) {
+    records.push_back(r);
+  }
+  *error_line = reader->error_line();
+  std::remove(path.c_str());
+  return records;
+}
+
+TEST_F(TraceFileTest, LongCommentLineIsSkippedWhole) {
+  // A 302-byte comment line (an fgets(, 256,) reader would split it and
+  // parse its tail as a malformed line 2) followed by two records.
+  const std::string comment = "#" + std::string(300, 'c') + "\n";
+  ASSERT_EQ(comment.size(), 302u);
+  uint64_t error_line = 0;
+  const auto records =
+      ReadAll(TempPath("long_comment.trace"), comment + "R 0 0 1 2 3\nW 0 1 4 5 6\n",
+              &error_line);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].file_id, 1u);
+  EXPECT_EQ(records[1].file_id, 4u);
+  EXPECT_EQ(error_line, 0u);
+}
+
+TEST_F(TraceFileTest, RecordTextInsideALongCommentIsNotARecord) {
+  // 255 bytes of comment, then record-shaped text on the same line: it is
+  // still the comment, so the trace holds exactly the file-1 record.
+  const std::string line = "#" + std::string(254, 'c') + "R 0 0 7 9 1\n";
+  uint64_t error_line = 0;
+  const auto records =
+      ReadAll(TempPath("injected.trace"), line + "R 0 0 1 2 3\n", &error_line);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].file_id, 1u);
+  EXPECT_EQ(error_line, 0u);
+}
+
+TEST_F(TraceFileTest, LongMalformedLineReportsItsOwnLineNumber) {
+  const std::string text = "R 0 0 1 2 3\n# note\n" + std::string(300, 'x') + "\nW 0 0 2 0 1\n";
+  uint64_t error_line = 0;
+  const auto records = ReadAll(TempPath("long_bad.trace"), text, &error_line);
+  EXPECT_EQ(records.size(), 2u);
+  EXPECT_EQ(error_line, 3u);
+}
+
+TEST_F(TraceFileTest, LineLongerThanTheReadBlock) {
+  // Lines that do not fit the reader's block buffer: a comment is skipped,
+  // anything else is malformed at its own line number. Records around them
+  // are read.
+  const std::string text = "R 0 0 1 0 1\n  #" + std::string(kTraceReadBlockBytes, 'c') +
+                           "\nR 0 0 2 0 1\n" + std::string(kTraceReadBlockBytes + 5, '7') +
+                           "\nR 0 0 3 0 1";
+  uint64_t error_line = 0;
+  const auto records = ReadAll(TempPath("overlong.trace"), text, &error_line);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].file_id, 1u);
+  EXPECT_EQ(records[1].file_id, 2u);
+  EXPECT_EQ(records[2].file_id, 3u);
+  EXPECT_EQ(error_line, 4u);
+}
+
 TEST_F(TraceFileTest, MissingFileReportsError) {
   std::string error;
-  auto reader = FileTraceSource::Open("/nonexistent/nope.trace", &error);
+  auto reader = OpenTraceSource("/nonexistent/nope.trace", &error);
   EXPECT_EQ(reader, nullptr);
   EXPECT_NE(error.find("cannot open"), std::string::npos);
 }

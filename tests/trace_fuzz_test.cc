@@ -9,6 +9,10 @@
 //     count >= 1) — malformed rows are skipped and reported via
 //     error_line()/skipped, never half-parsed into aliasing keys;
 //   - well-formed prefixes of truncated files still parse;
+//   - the block-buffered reader delivers exactly the records and the first
+//     malformed line of a longhand model (split on '\n' and sscanf each
+//     line; decode each 22-byte chunk), on mutated traces larger than its
+//     buffer;
 //   - the hand-written text parser (ParseTraceTextLine) agrees with the
 //     sscanf call it replaced on every line, malformed ones included.
 #include <gtest/gtest.h>
@@ -21,7 +25,6 @@
 
 #include "src/trace/codec.h"
 #include "src/trace/csv_import.h"
-#include "src/trace/fast_source.h"
 #include "src/trace/trace_file.h"
 #include "src/util/rng.h"
 
@@ -48,7 +51,7 @@ class TraceFuzzTest : public ::testing::Test {
   // Reads every record, checking the range contract on each.
   uint64_t DrainChecked(const std::string& path) {
     std::string error;
-    auto source = FileTraceSource::Open(path, &error);
+    auto source = OpenTraceSource(path, &error);
     EXPECT_NE(source, nullptr) << error;
     TraceRecord r;
     uint64_t n = 0;
@@ -61,6 +64,12 @@ class TraceFuzzTest : public ::testing::Test {
     }
     return n;
   }
+
+  // The reader against LonghandRead: 100 rounds of one mutation on `small`,
+  // then 12 rounds of MutateMultiBlock on `large` (header_bytes is its
+  // format header, kept when the body is re-appended).
+  void ExpectReaderMatchesModelOnMutations(const std::string& small, const std::string& large,
+                                           size_t header_bytes, uint64_t seed);
 
   std::filesystem::path dir_;
 };
@@ -178,7 +187,7 @@ TEST_F(TraceFuzzTest, TextAdversarialFieldsAreSkippedNotTruncated) {
       "R 65536 0 1 0 1\n"                        // host > uint16
       "W 1 2 3 4 5\n");                          // the one valid line
   std::string error;
-  auto source = FileTraceSource::Open(path, &error);
+  auto source = OpenTraceSource(path, &error);
   ASSERT_NE(source, nullptr);
   TraceRecord r;
   uint64_t n = 0;
@@ -211,7 +220,7 @@ TEST_F(TraceFuzzTest, BinaryRecordsWithOutOfRangeFieldsAreSkipped) {
   append_record(7, 42, 3);                     // valid
   const std::string path = WriteFile("ranges.trace", bytes);
   std::string error;
-  auto source = FileTraceSource::Open(path, &error);
+  auto source = OpenTraceSource(path, &error);
   ASSERT_NE(source, nullptr);
   TraceRecord r;
   ASSERT_TRUE(source->Next(&r));
@@ -220,137 +229,6 @@ TEST_F(TraceFuzzTest, BinaryRecordsWithOutOfRangeFieldsAreSkipped) {
   EXPECT_EQ(r.block_count, 3u);
   EXPECT_FALSE(source->Next(&r));
   EXPECT_GT(source->error_line(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fast-reader identity: the mmap and block-buffered readers (fast_source.h)
-// must deliver record-for-record exactly what the streaming FileTraceSource
-// delivers on ANY input — valid, mutated, truncated, or adversarial.
-
-std::vector<TraceRecord> Drain(TraceSource& source) {
-  std::vector<TraceRecord> records;
-  TraceRecord r;
-  while (source.Next(&r)) {
-    records.push_back(r);
-  }
-  return records;
-}
-
-void ExpectSameRecords(const std::vector<TraceRecord>& a, const std::vector<TraceRecord>& b,
-                       const char* label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a[i].op, b[i].op);
-    EXPECT_EQ(a[i].warmup, b[i].warmup);
-    EXPECT_EQ(a[i].host, b[i].host);
-    EXPECT_EQ(a[i].thread, b[i].thread);
-    EXPECT_EQ(a[i].file_id, b[i].file_id);
-    EXPECT_EQ(a[i].block, b[i].block);
-    EXPECT_EQ(a[i].block_count, b[i].block_count);
-  }
-}
-
-// Streams the file through FileTraceSource and OpenTraceSource (which picks
-// the mmap or block-buffered reader) and requires identical records and the
-// same first malformed line.
-void ExpectFastReaderIdentity(const std::string& path) {
-  std::string error;
-  auto legacy = FileTraceSource::Open(path, &error);
-  ASSERT_NE(legacy, nullptr) << error;
-  auto fast = OpenTraceSource(path, &error);
-  ASSERT_NE(fast, nullptr) << error;
-  ExpectSameRecords(Drain(*legacy), Drain(*fast), "legacy vs fast");
-  EXPECT_EQ(legacy->error_line(), fast->error_line());
-}
-
-TEST_F(TraceFuzzTest, FastTextReaderMatchesStreamingReaderOnMutations) {
-  const std::string valid = ValidTextTrace(200, 21);
-  Rng rng(22);
-  for (int round = 0; round < 100; ++round) {
-    ExpectFastReaderIdentity(WriteFile("ident_text.trace", Mutate(valid, rng)));
-  }
-}
-
-TEST_F(TraceFuzzTest, FastBinaryReaderMatchesStreamingReaderOnMutations) {
-  const std::string valid = ValidBinaryTrace(200, 23);
-  Rng rng(24);
-  for (int round = 0; round < 100; ++round) {
-    ExpectFastReaderIdentity(WriteFile("ident_bin.trace", Mutate(valid, rng)));
-  }
-}
-
-TEST_F(TraceFuzzTest, BufferedTextReaderChunksLongLinesLikeFgets) {
-  // Lines longer than 255 bytes split into fgets-sized chunks; each chunk
-  // parses independently. A 300-byte garbage line, a line whose valid
-  // record is buried past the chunk boundary, and a normal record must all
-  // come out of both readers identically (including error_line).
-  std::string text(300, 'x');
-  text += "\n";
-  text += std::string(280, ' ') + "R 0 0 1 2 3\n";  // record lands in chunk 2
-  text += "R 1 2 3 4 5\n";
-  const std::string path = WriteFile("longline.trace", text);
-  std::string error;
-  auto legacy = FileTraceSource::Open(path, &error);
-  ASSERT_NE(legacy, nullptr);
-  auto buffered = BufferedTextTraceSource::Open(path, &error);
-  ASSERT_NE(buffered, nullptr);
-  ExpectSameRecords(Drain(*legacy), Drain(*buffered), "long lines");
-  EXPECT_EQ(legacy->error_line(), buffered->error_line());
-}
-
-TEST_F(TraceFuzzTest, MmapReaderBinaryEdgeCases) {
-  std::string error;
-  // Zero-length file: no magic, so it is not a binary trace.
-  EXPECT_EQ(MmapTraceSource::Open(WriteFile("empty.trace", ""), &error), nullptr);
-  // Magic-only: valid, zero records, exact SizeHint.
-  {
-    auto source = MmapTraceSource::Open(WriteFile("magic.trace", "FSIMB1\n"), &error);
-    ASSERT_NE(source, nullptr) << error;
-    EXPECT_EQ(source->SizeHint(), 0u);
-    TraceRecord r;
-    EXPECT_FALSE(source->Next(&r));
-  }
-  // Unaligned tail: one whole record plus a partial one — the partial tail
-  // is ignored, matching the streaming reader's short final fread.
-  {
-    const std::string whole = ValidBinaryTrace(2, 25);
-    const std::string path = WriteFile("tail.trace", whole.substr(0, whole.size() - 10));
-    auto source = MmapTraceSource::Open(path, &error);
-    ASSERT_NE(source, nullptr) << error;
-    EXPECT_EQ(source->SizeHint(), 1u);
-    ExpectFastReaderIdentity(path);
-  }
-  // SizeHint counts invalid (skipped) records too: it is an upper bound.
-  {
-    const std::string valid = ValidBinaryTrace(5, 26);
-    auto source = MmapTraceSource::Open(WriteFile("hint.trace", valid), &error);
-    ASSERT_NE(source, nullptr) << error;
-    EXPECT_EQ(source->SizeHint(), 5u);
-  }
-}
-
-TEST_F(TraceFuzzTest, FastReadersRewindToIdenticalStreams) {
-  std::string error;
-  {
-    auto source = MmapTraceSource::Open(WriteFile("rw.trace", ValidBinaryTrace(50, 27)),
-                                        &error);
-    ASSERT_NE(source, nullptr) << error;
-    const auto first = Drain(*source);
-    ASSERT_EQ(first.size(), 50u);
-    source->Rewind();
-    ExpectSameRecords(first, Drain(*source), "mmap rewind");
-  }
-  {
-    auto source =
-        BufferedTextTraceSource::Open(WriteFile("rw.trace", ValidTextTrace(50, 28)), &error);
-    ASSERT_NE(source, nullptr) << error;
-    const auto first = Drain(*source);
-    ASSERT_EQ(first.size(), 50u);
-    source->Rewind();
-    ExpectSameRecords(first, Drain(*source), "buffered text rewind");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -441,22 +319,18 @@ TextLineResult ExpectParsersAgree(const std::string& line, TraceRecord* parsed =
   return got_kind;
 }
 
-// Splits bytes the way fgets(line, 256, file) delivers them: up to a
-// newline (kept) or 255 chars, whichever comes first.
-std::vector<std::string> FgetsChunks(const std::string& bytes) {
-  std::vector<std::string> chunks;
+// Splits bytes into lines the way the reader does: on '\n' only, each line
+// keeping its '\n' (the last one may have none).
+std::vector<std::string> SplitLines(const std::string& bytes) {
+  std::vector<std::string> lines;
   size_t pos = 0;
   while (pos < bytes.size()) {
-    size_t end = pos;
-    while (end < bytes.size() && end - pos < 255) {
-      if (bytes[end++] == '\n') {
-        break;
-      }
-    }
-    chunks.push_back(bytes.substr(pos, end - pos));
+    const size_t nl = bytes.find('\n', pos);
+    const size_t end = nl == std::string::npos ? bytes.size() : nl + 1;
+    lines.push_back(bytes.substr(pos, end - pos));
     pos = end;
   }
-  return chunks;
+  return lines;
 }
 
 // A line assembled from the pieces the parser has to get right: every
@@ -511,15 +385,15 @@ TEST(TraceTextParserTest, HandcraftedLinesMatchSscanf) {
       "R 65536 0 1 0 1\n", "R 0 65536 1 0 1\n", "R 0 0 16777216 0 1\n",
       "R 0 0 1 1099511627776 1\n", "R 0 0 1 1099511627775 2\n", "R 0 0 1 0 4294967295\n",
       "R 0 0 1 0 4294967296\n", "R 0 0 1 0 0\n",
-      // Chunked at 255 chars: the cut lands inside the record.
+      // Lines past 255 bytes, and the pieces fgets(, 256,) would cut them into.
       kLong + "R 0 0 1 2 3\n", (kLong + "R 0 0 1 2 3\n").substr(0, 255),
       (kLong + "R 0 0 1 2 3\n").substr(255), std::string(255, '9'), std::string(255, ' '),
-      "R 0 0 1 2 " + std::string(245, '0'),
+      "R 0 0 1 2 " + std::string(245, '0'), std::string(300, ' '),
+      std::string("R 0 0 1 2 ").append(245, '0').append("3\n"),
+      std::string("#").append(300, 'c').append("\n"),
   };
   for (const std::string& line : lines) {
-    for (const std::string& chunk : FgetsChunks(line)) {
-      ExpectParsersAgree(chunk);
-    }
+    ExpectParsersAgree(line);
   }
   // A few exact values, so agreement is not agreement on a wrong reading.
   TraceRecord r;
@@ -567,12 +441,178 @@ TEST(TraceTextParserTest, MutatedTraceLinesMatchSscanf) {
       // Warm-up records and glued op chars, then mutated like the rest.
       bytes = Mutate(bytes + "W 1 2 3 4 5 w\nR9 8 7 6 5 warm\nw 0 0 0 0 1 x\n", rng);
     }
-    for (const std::string& chunk : FgetsChunks(bytes)) {
-      ExpectParsersAgree(chunk);
+    for (const std::string& line : SplitLines(bytes)) {
+      ExpectParsersAgree(line);
     }
     if (HasFailure()) {
       return;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reader vs a longhand model: the model splits the bytes on '\n' and runs
+// the sscanf reference per line (text), or decodes each 22-byte chunk after
+// the magic (binary), numbering lines or records from 1.
+
+struct ModelRead {
+  std::vector<TraceRecord> records;
+  uint64_t error_line = 0;
+};
+
+ModelRead LonghandRead(const std::string& bytes) {
+  ModelRead model;
+  uint64_t entry = 0;
+  const auto note = [&](bool ok, const TraceRecord& r) {
+    ++entry;
+    if (ok) {
+      model.records.push_back(r);
+    } else if (model.error_line == 0) {
+      model.error_line = entry;
+    }
+  };
+  if (bytes.compare(0, kTraceBinaryMagicLen, kTraceBinaryMagic) == 0) {
+    for (size_t off = kTraceBinaryMagicLen; off + kTraceBinaryRecordSize <= bytes.size();
+         off += kTraceBinaryRecordSize) {
+      TraceRecord r;
+      note(DecodeTraceRecord(reinterpret_cast<const unsigned char*>(bytes.data() + off), &r),
+           r);
+    }
+    return model;
+  }
+  for (const std::string& line : SplitLines(bytes)) {
+    TraceRecord r;
+    const TextLineResult kind = ReferenceParseTraceTextLine(line.c_str(), &r);
+    if (kind != TextLineResult::kSkip) {
+      note(kind == TextLineResult::kRecord, r);
+    } else {
+      ++entry;
+    }
+  }
+  return model;
+}
+
+std::vector<TraceRecord> Drain(TraceSource& source) {
+  std::vector<TraceRecord> records;
+  TraceRecord r;
+  while (source.Next(&r)) {
+    records.push_back(r);
+  }
+  return records;
+}
+
+void ExpectMatchesModel(const std::string& path, const std::string& bytes) {
+  std::string error;
+  auto source = OpenTraceSource(path, &error);
+  ASSERT_NE(source, nullptr) << error;
+  const ModelRead model = LonghandRead(bytes);
+  const std::vector<TraceRecord> got = Drain(*source);
+  ASSERT_EQ(got.size(), model.records.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], model.records[i]) << "record " << i;
+  }
+  EXPECT_EQ(source->error_line(), model.error_line);
+}
+
+// Three stacked mutations, then (if a truncation shrank it) the valid body
+// appended again: every trace spans more than one read block, so lines and
+// records straddle refills.
+constexpr uint64_t kMultiBlockRecords = (kTraceReadBlockBytes / 20) * 5 / 4;
+
+std::string MutateMultiBlock(const std::string& valid, size_t header_bytes, Rng& rng) {
+  std::string bytes = Mutate(Mutate(Mutate(valid, rng), rng), rng);
+  if (bytes.size() <= kTraceReadBlockBytes) {
+    bytes += valid.substr(header_bytes);
+  }
+  return bytes;
+}
+
+void TraceFuzzTest::ExpectReaderMatchesModelOnMutations(const std::string& small,
+                                                        const std::string& large,
+                                                        size_t header_bytes, uint64_t seed) {
+  ASSERT_GT(large.size(), kTraceReadBlockBytes);
+  Rng rng(seed);
+  for (int round = 0; round < 112; ++round) {
+    const std::string bytes =
+        round < 100 ? Mutate(small, rng) : MutateMultiBlock(large, header_bytes, rng);
+    ExpectMatchesModel(WriteFile("model.trace", bytes), bytes);
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST_F(TraceFuzzTest, TextReaderMatchesLonghandModel) {
+  ExpectReaderMatchesModelOnMutations(ValidTextTrace(200, 21),
+                                      ValidTextTrace(kMultiBlockRecords, 21), 0, 22);
+}
+
+TEST_F(TraceFuzzTest, BinaryReaderMatchesLonghandModel) {
+  ExpectReaderMatchesModelOnMutations(ValidBinaryTrace(200, 23),
+                                      ValidBinaryTrace(kMultiBlockRecords, 23),
+                                      kTraceBinaryMagicLen, 24);
+}
+
+TEST_F(TraceFuzzTest, BinaryReaderEdgeCases) {
+  std::string error;
+  // Zero-length file: no magic, so it reads as an empty text trace.
+  {
+    auto source = OpenTraceSource(WriteFile("empty.trace", ""), &error);
+    ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->format(), TraceFormat::kText);
+    EXPECT_EQ(source->SizeHint(), 0u);
+    TraceRecord r;
+    EXPECT_FALSE(source->Next(&r));
+    EXPECT_EQ(source->error_line(), 0u);
+  }
+  // Magic-only: valid, zero records, exact SizeHint.
+  {
+    auto source = OpenTraceSource(WriteFile("magic.trace", "FSIMB1\n"), &error);
+    ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->format(), TraceFormat::kBinary);
+    EXPECT_EQ(source->SizeHint(), 0u);
+    TraceRecord r;
+    EXPECT_FALSE(source->Next(&r));
+  }
+  // Unaligned tail: one whole record plus a partial one — the partial tail
+  // is ignored.
+  {
+    const std::string whole = ValidBinaryTrace(2, 25);
+    const std::string bytes = whole.substr(0, whole.size() - 10);
+    const std::string path = WriteFile("tail.trace", bytes);
+    auto source = OpenTraceSource(path, &error);
+    ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->SizeHint(), 1u);
+    EXPECT_EQ(Drain(*source).size(), 1u);
+    ExpectMatchesModel(path, bytes);
+  }
+  // SizeHint counts invalid (skipped) records too: it is an upper bound.
+  {
+    std::string bytes = ValidBinaryTrace(5, 26);
+    bytes[kTraceBinaryMagicLen] = 7;  // first record's op byte: invalid
+    auto source = OpenTraceSource(WriteFile("hint.trace", bytes), &error);
+    ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->SizeHint(), 5u);
+    EXPECT_EQ(Drain(*source).size(), 4u);
+    EXPECT_EQ(source->error_line(), 1u);
+  }
+  // A text trace has no size hint.
+  {
+    auto source = OpenTraceSource(WriteFile("hint.txt", ValidTextTrace(5, 26)), &error);
+    ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->SizeHint(), 0u);
+  }
+}
+
+TEST_F(TraceFuzzTest, ReaderRewindsToIdenticalStreams) {
+  std::string error;
+  for (const std::string& bytes : {ValidBinaryTrace(50, 27), ValidTextTrace(50, 28)}) {
+    auto source = OpenTraceSource(WriteFile("rw.trace", bytes), &error);
+    ASSERT_NE(source, nullptr) << error;
+    const auto first = Drain(*source);
+    ASSERT_EQ(first.size(), 50u);
+    source->Rewind();
+    EXPECT_EQ(Drain(*source), first);
   }
 }
 
