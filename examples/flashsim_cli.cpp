@@ -15,15 +15,15 @@
 //     --policy=lru|fifo|clock|slru|lruk        replacement policy zoo
 //     --admission=all|flashield                flash admission filter
 //     --ram-gib=N --flash-gib=N --ws-gib=N --filer-tib=N
+//                             (negative or byte count over 2^64: exit 2)
 //     --hosts=N --threads=N --write-pct=N --scale=N --seed=N
-//     --filers=N --shard-strategy=hash|modulo   sharded storage backend
+//     --filers=N              sharded storage backend
 //     --prefetch-pct=N        filer fast-read rate
 //     --flash-read-us=N --flash-write-us=N
 //     --flash-noise=SIGMA     mean-one lognormal flash latency noise
 //     --persistent            doubled flash writes (recoverable cache)
 //     --cold                  skip warmup (crashed cache)
 //     --ftl                   FTL-backed flash device (GC, erases, TRIM)
-//     --invalidation=none|async|blocking
 //     --coherence=perfect|directory|lease
 //     --series-ms=N           print a read-latency time series
 //                             (numeric flags reject NaN, infinities and
@@ -79,6 +79,22 @@ constexpr double kMaxLatencyUs = 9.2e15;
 // Largest millisecond count whose nanosecond count fits a SimDuration.
 constexpr double kMaxDurationMs = 9.2e12;
 
+// Registers a capacity flag in paper units of `unit_bytes` each. A negative
+// value, or one whose byte count does not fit a uint64_t, is refused rather
+// than cast to a wrapped or undefined byte count.
+void AddCapacityFlag(FlagParser& parser, const std::string& name, const std::string& help,
+                     uint64_t unit_bytes, double* out) {
+  parser.AddCustom(name, "N", help, [unit_bytes, out](const std::string& value) {
+    double units = 0.0;
+    if (!ParseInRange(value, 0.0, std::numeric_limits<double>::max(), &units) ||
+        !CapacityFitsBytes(units * static_cast<double>(unit_bytes))) {
+      return false;
+    }
+    *out = units;
+    return true;
+  });
+}
+
 void RegisterFlags(FlagParser& parser, CliOptions* options) {
   ExperimentParams& params = options->params;
   parser.AddString("trace", "replay a trace file instead of generating", &options->trace_path);
@@ -128,19 +144,6 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                      params.admission = *policy;
                      return true;
                    });
-  parser.AddCustom("invalidation", "none|async|blocking", "consistency traffic model",
-                   [&params](const std::string& value) {
-                     if (value == "none") {
-                       params.invalidation_traffic = InvalidationTraffic::kNone;
-                     } else if (value == "async") {
-                       params.invalidation_traffic = InvalidationTraffic::kAsync;
-                     } else if (value == "blocking") {
-                       params.invalidation_traffic = InvalidationTraffic::kBlocking;
-                     } else {
-                       return false;
-                     }
-                     return true;
-                   });
   parser.AddCustom("coherence", "perfect|directory|lease",
                    "coherence protocol (DESIGN.md \u00a715)",
                    [&params](const std::string& value) {
@@ -151,10 +154,10 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                      params.coherence = *model;
                      return true;
                    });
-  parser.AddDouble("ram-gib", "RAM cache GiB", &params.ram_gib);
-  parser.AddDouble("flash-gib", "flash cache GiB", &params.flash_gib);
-  parser.AddDouble("ws-gib", "working set GiB", &params.working_set_gib);
-  parser.AddDouble("filer-tib", "file server TiB", &params.filer_tib);
+  AddCapacityFlag(parser, "ram-gib", "RAM cache GiB", kGiB, &params.ram_gib);
+  AddCapacityFlag(parser, "flash-gib", "flash cache GiB", kGiB, &params.flash_gib);
+  AddCapacityFlag(parser, "ws-gib", "working set GiB", kGiB, &params.working_set_gib);
+  AddCapacityFlag(parser, "filer-tib", "file server TiB", kTiB, &params.filer_tib);
   parser.AddCustom("write-pct", "N", "write percentage", [&params](const std::string& value) {
     double pct = 0.0;
     if (!ParseInRange(value, 0.0, 100.0, &pct)) {
@@ -198,15 +201,6 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                    [&params](const std::string& value) {
                      return ParseInRange(value, 0.0, std::numeric_limits<double>::max(),
                                          &params.timing.flash_noise_sigma);
-                   });
-  parser.AddCustom("shard-strategy", "hash|modulo", "block -> filer shard routing",
-                   [&params](const std::string& value) {
-                     const auto strategy = ParseShardStrategy(value);
-                     if (!strategy) {
-                       return false;
-                     }
-                     params.shard_strategy = *strategy;
-                     return true;
                    });
   parser.AddUint64("scale", "capacity scale divisor", &params.scale);
   parser.AddUint64("seed", "workload seed", &params.seed);
@@ -284,7 +278,7 @@ void PrintMetrics(const Metrics& m) {
                 static_cast<unsigned long long>(m.invalidations),
                 static_cast<unsigned long long>(m.invalidation_messages));
   }
-  if (m.coherence_model != CoherenceModel::kPerfect || m.coherence.any()) {
+  if (m.coherence_model != CoherenceModel::kPerfect) {
     const CoherenceCounters& c = m.coherence;
     std::printf("coherence (%s): %llu lookups, %llu messages, %llu acks, "
                 "%llu dirty fetches\n",

@@ -1,35 +1,21 @@
 // Stable block-key → shard map for the sharded filer backend.
 //
-// Routing must be a pure function of (key, shard count, strategy): every
-// host, the background writers, and the per-shard counters all consult the
-// same map, and the cross-shard conservation audit (src/check/audit.h)
-// only holds if they always agree. Two strategies are provided:
-//
-//   kHash   — Mix64(key) % shards. Spreads hot files across shards even
-//             when their block numbers are sequential (the common case for
-//             an Impressions-style file server); the default.
-//   kModulo — key % shards. Keeps a file's consecutive blocks striped
-//             round-robin, which a filer cluster with per-shard read-ahead
-//             would prefer; exposed so experiments can compare placement.
+// Routing must be a pure function of (key, shard count): every host, the
+// background writers, and the per-shard counters all consult the same map,
+// and the cross-shard conservation audit (src/check/audit.h) only holds if
+// they always agree. The map is Mix64(key) % shards, which spreads hot
+// files across shards even when their block numbers are sequential (the
+// common case for an Impressions-style file server).
 #ifndef FLASHSIM_SRC_BACKEND_SHARD_ROUTER_H_
 #define FLASHSIM_SRC_BACKEND_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "src/trace/record.h"
+#include "src/util/assert.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
-
-enum class ShardStrategy : uint8_t {
-  kHash = 0,
-  kModulo = 1,
-};
-
-const char* ShardStrategyName(ShardStrategy strategy);
-std::optional<ShardStrategy> ParseShardStrategy(const std::string& name);
 
 class ShardRouter {
  public:
@@ -40,22 +26,21 @@ class ShardRouter {
   // fleet-scale runs, while filer counts stay small.)
   static constexpr int kMaxShards = 64;
 
-  explicit ShardRouter(int num_shards, ShardStrategy strategy = ShardStrategy::kHash);
+  explicit ShardRouter(int num_shards) : num_shards_(num_shards) {
+    FLASHSIM_CHECK(num_shards >= 1 && num_shards <= kMaxShards);
+  }
 
   int ShardOf(BlockKey key) const {
     if (num_shards_ == 1) {
       return 0;
     }
-    const uint64_t mixed = strategy_ == ShardStrategy::kHash ? Mix64(key) : key;
-    return static_cast<int>(mixed % static_cast<uint64_t>(num_shards_));
+    return static_cast<int>(Mix64(key) % static_cast<uint64_t>(num_shards_));
   }
 
   int num_shards() const { return num_shards_; }
-  ShardStrategy strategy() const { return strategy_; }
 
  private:
   int num_shards_;
-  ShardStrategy strategy_;
 };
 
 }  // namespace flashsim

@@ -56,8 +56,8 @@ Filer& SingleFilerBackend::shard(int index) {
 }
 
 ShardedFilerBackend::ShardedFilerBackend(const TimingModel& timing, int num_shards,
-                                         ShardStrategy strategy, uint64_t base_seed)
-    : router_(num_shards, strategy) {
+                                         uint64_t base_seed)
+    : router_(num_shards) {
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Filer>(timing, ShardSeed(base_seed, s)));
@@ -74,12 +74,12 @@ Filer& ShardedFilerBackend::shard(int index) {
 }
 
 std::unique_ptr<StorageBackend> MakeStorageBackend(const TimingModel& timing, int num_filers,
-                                                   ShardStrategy strategy, uint64_t base_seed) {
+                                                   uint64_t base_seed) {
   FLASHSIM_CHECK(num_filers >= 1);
   if (num_filers == 1) {
     return std::make_unique<SingleFilerBackend>(timing, base_seed);
   }
-  return std::make_unique<ShardedFilerBackend>(timing, num_filers, strategy, base_seed);
+  return std::make_unique<ShardedFilerBackend>(timing, num_filers, base_seed);
 }
 
 }  // namespace flashsim

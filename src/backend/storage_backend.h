@@ -99,8 +99,7 @@ class SingleFilerBackend final : public StorageBackend {
 
 class ShardedFilerBackend final : public StorageBackend {
  public:
-  ShardedFilerBackend(const TimingModel& timing, int num_shards, ShardStrategy strategy,
-                      uint64_t base_seed);
+  ShardedFilerBackend(const TimingModel& timing, int num_shards, uint64_t base_seed);
 
   std::unique_ptr<StorageService> Connect(NetworkLink& link) override;
   int num_shards() const override { return static_cast<int>(shards_.size()); }
@@ -117,7 +116,7 @@ class ShardedFilerBackend final : public StorageBackend {
 // num_filers == 1 builds the single-filer backend (the byte-identical
 // legacy path); anything larger builds the sharded cluster.
 std::unique_ptr<StorageBackend> MakeStorageBackend(const TimingModel& timing, int num_filers,
-                                                   ShardStrategy strategy, uint64_t base_seed);
+                                                   uint64_t base_seed);
 
 }  // namespace flashsim
 

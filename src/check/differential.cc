@@ -343,8 +343,6 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
   CoherenceParams cparams;
   cparams.model = config.coherence;
   cparams.num_hosts = config.num_hosts;
-  cparams.charge_legacy_traffic = false;
-  cparams.legacy_traffic_blocks_writer = false;
   cparams.directory_service_ns = timing.coherence_ctrl_ns;
   cparams.flush_service_ns = timing.filer_write_ns;
   cparams.lease_ns = timing.lease_ns;

@@ -9,10 +9,9 @@
 //
 // Three members on the `SimConfig::coherence` axis:
 //
-//   perfect    The paper's model, bit-for-bit: PerfectProtocol::OnWrite is
-//              the pre-protocol ExecuteOp invalidation block verbatim
-//              (including the legacy --invalidation=async|blocking message
-//              charging), so every committed golden digest reproduces
+//   perfect    The paper's model, bit-for-bit: a write drops every stale
+//              copy instantly and for free, and the directory counts the
+//              invalidations, so every committed golden digest reproduces
 //              byte-identically. Reads never enter the protocol.
 //
 //   directory  Synchronous lookup + invalidate round trips. Every read miss
@@ -131,11 +130,6 @@ class CoherenceTransport {
 struct CoherenceParams {
   CoherenceModel model = CoherenceModel::kPerfect;
   int num_hosts = 1;
-  // Perfect only: reproduce the legacy --invalidation message charging
-  // (SimConfig::invalidation_traffic). Non-perfect protocols charge their
-  // own traffic and require these off.
-  bool charge_legacy_traffic = false;
-  bool legacy_traffic_blocks_writer = false;
   // Filer-side service time per directory control message.
   SimDuration directory_service_ns = 0;
   // Filer-side service time to absorb a reconciled dirty flush.

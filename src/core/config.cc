@@ -3,22 +3,11 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/backend/shard_router.h"
 #include "src/consistency/directory.h"
 #include "src/util/assert.h"
 
 namespace flashsim {
-
-const char* InvalidationTrafficName(InvalidationTraffic model) {
-  switch (model) {
-    case InvalidationTraffic::kNone:
-      return "none";
-    case InvalidationTraffic::kAsync:
-      return "async";
-    case InvalidationTraffic::kBlocking:
-      return "blocking";
-  }
-  return "?";
-}
 
 void SimConfig::Validate() const {
   FLASHSIM_CHECK(block_bytes > 0);
@@ -37,10 +26,6 @@ void SimConfig::Validate() const {
   FLASHSIM_CHECK(std::isfinite(timing.flash_noise_sigma) && timing.flash_noise_sigma >= 0.0);
   FLASHSIM_CHECK(timing.filer_fast_read_rate >= 0.0 && timing.filer_fast_read_rate <= 1.0);
   FLASHSIM_CHECK(timing.filer_concurrency >= 1);
-  // Modeled protocols charge their own control traffic; the legacy
-  // --invalidation packet model on top would double-charge every write.
-  FLASHSIM_CHECK(coherence == CoherenceModel::kPerfect ||
-                 invalidation_traffic == InvalidationTraffic::kNone);
   FLASHSIM_CHECK(timing.coherence_ctrl_ns >= 0);
   FLASHSIM_CHECK(coherence != CoherenceModel::kLease || timing.lease_ns > 0);
 }
@@ -55,8 +40,7 @@ std::string SimConfig::Summary() const {
                 timing.persistent_flash ? " persistent" : "");
   std::string out = buf;
   if (num_filers > 1) {
-    std::snprintf(buf, sizeof(buf), " filers=%d(%s)", num_filers,
-                  ShardStrategyName(shard_strategy));
+    std::snprintf(buf, sizeof(buf), " filers=%d", num_filers);
     out += buf;
   }
   if (replacement != ReplacementPolicy::kLru) {

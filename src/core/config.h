@@ -11,7 +11,6 @@
 #include <string>
 
 #include "src/arch/stack_factory.h"
-#include "src/backend/shard_router.h"
 #include "src/consistency/coherence.h"
 #include "src/cache/policy.h"
 #include "src/cache/replacement.h"
@@ -20,18 +19,6 @@
 #include "src/util/units.h"
 
 namespace flashsim {
-
-// How cache-consistency invalidation traffic is charged (extension; the
-// paper counts invalidations but does not model protocol traffic, §3.8).
-enum class InvalidationTraffic : uint8_t {
-  kNone = 0,      // paper behavior: instant, free invalidation
-  kAsync = 1,     // report + callback + ack packets occupy the links,
-                  // but the writer does not wait
-  kBlocking = 2,  // the writer blocks until every stale copy acknowledges
-                  // its invalidation (strong consistency)
-};
-
-const char* InvalidationTrafficName(InvalidationTraffic model);
 
 struct SimConfig {
   uint32_t block_bytes = 4096;
@@ -45,7 +32,6 @@ struct SimConfig {
   // independent filer shards behind a stable block->shard router, the §7.7
   // "add filers until the knee moves" experiment.
   int num_filers = 1;
-  ShardStrategy shard_strategy = ShardStrategy::kHash;
 
   Architecture arch = Architecture::kNaive;
   WritebackPolicy ram_policy = WritebackPolicy::kPeriodic1;
@@ -63,13 +49,9 @@ struct SimConfig {
 
   TimingModel timing;
 
-  InvalidationTraffic invalidation_traffic = InvalidationTraffic::kNone;
-
   // Coherence protocol (DESIGN.md §15). kPerfect is the paper's zero-cost
   // counting directory and the byte-identical default; kDirectory/kLease
   // put lookup/invalidation/lease traffic on the network and filer.
-  // Non-perfect protocols charge their own messages, so they require
-  // invalidation_traffic == kNone (Validate enforces it).
   CoherenceModel coherence = CoherenceModel::kPerfect;
 
   // Seeds the filer's fast/slow read draws (trace generation seeds live in

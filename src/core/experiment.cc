@@ -15,7 +15,9 @@ namespace flashsim {
 namespace {
 
 uint64_t ScaledBytes(double gib, uint64_t scale) {
-  return static_cast<uint64_t>(gib * static_cast<double>(kGiB) / static_cast<double>(scale));
+  const double bytes = gib * static_cast<double>(kGiB) / static_cast<double>(scale);
+  FLASHSIM_CHECK(CapacityFitsBytes(bytes));
+  return static_cast<uint64_t>(bytes);
 }
 
 }  // namespace
@@ -28,7 +30,6 @@ SimConfig BuildSimConfig(const ExperimentParams& params) {
   config.num_hosts = params.hosts;
   config.threads_per_host = params.threads_per_host;
   config.num_filers = params.num_filers;
-  config.shard_strategy = params.shard_strategy;
   config.arch = params.arch;
   config.ram_policy = params.ram_policy;
   config.flash_policy = params.flash_policy;
@@ -36,7 +37,6 @@ SimConfig BuildSimConfig(const ExperimentParams& params) {
   config.admission = params.admission;
   config.collect_mrc = params.collect_mrc;
   config.timing = params.timing;
-  config.invalidation_traffic = params.invalidation_traffic;
   config.coherence = params.coherence;
   config.seed = params.seed;
   config.audit_stride = params.audit ? 64 : 0;
@@ -92,8 +92,7 @@ ExperimentResult RunExperiment(const ExperimentParams& params) {
   result.config = BuildSimConfig(params);
   result.trace_spec = BuildTraceSpec(params);
 
-  const uint64_t filer_bytes = static_cast<uint64_t>(
-      params.filer_tib * static_cast<double>(kTiB) / static_cast<double>(params.scale));
+  const uint64_t filer_bytes = ScaledBytes(params.filer_tib * 1024.0, params.scale);
   // The file server must be larger than any working set sampled from it.
   FLASHSIM_CHECK(filer_bytes / result.config.block_bytes >
                  result.trace_spec.working_set_bytes / result.config.block_bytes);

@@ -21,6 +21,11 @@
 
 namespace flashsim {
 
+// True when a capacity of `bytes` converts to a uint64_t byte count: not
+// negative (nor NaN) and below 2^64. Every paper-units capacity passes
+// through this check on its way into a SimConfig.
+inline bool CapacityFitsBytes(double bytes) { return bytes >= 0.0 && bytes < 0x1p64; }
+
 struct ExperimentParams {
   // Paper-units capacities (pre-scale).
   double working_set_gib = 80.0;
@@ -43,11 +48,8 @@ struct ExperimentParams {
 
   int hosts = 1;
   int threads_per_host = 8;
-  // Storage backend shape: number of filer shards (1 = paper topology) and
-  // the block->shard routing strategy.
+  // Storage backend shape: number of filer shards (1 = paper topology).
   int num_filers = 1;
-  ShardStrategy shard_strategy = ShardStrategy::kHash;
-  InvalidationTraffic invalidation_traffic = InvalidationTraffic::kNone;
   // Coherence protocol axis (DESIGN.md §15); perfect is the paper's model.
   CoherenceModel coherence = CoherenceModel::kPerfect;
   double write_fraction = 0.30;

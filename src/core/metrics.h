@@ -59,8 +59,7 @@ struct Metrics {
   // paper's free-invalidation model). Counted for the whole run.
   uint64_t invalidation_messages = 0;
   // Coherence protocol accounting (DESIGN.md §15): message, lease, and
-  // stall totals summed over hosts. All-zero under perfect without the
-  // legacy --invalidation charging.
+  // stall totals summed over hosts. All-zero under perfect.
   CoherenceModel coherence_model = CoherenceModel::kPerfect;
   CoherenceCounters coherence;
 

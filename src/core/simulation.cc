@@ -97,8 +97,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   config_.Validate();
   // ShardSeed(seed, 0) reproduces the historical single-filer RNG stream,
   // so num_filers == 1 stays byte-identical to the pre-backend simulator.
-  backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.shard_strategy,
-                                config_.seed);
+  backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.seed);
   directory_ = std::make_unique<Directory>(config_.num_hosts);
   // Pre-size the directory's holders index for the most blocks that can be
   // cached anywhere at once, so it never rehashes mid-trace.
@@ -118,9 +117,6 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   CoherenceParams cparams;
   cparams.model = config_.coherence;
   cparams.num_hosts = config_.num_hosts;
-  cparams.charge_legacy_traffic = config_.invalidation_traffic != InvalidationTraffic::kNone;
-  cparams.legacy_traffic_blocks_writer =
-      config_.invalidation_traffic == InvalidationTraffic::kBlocking;
   cparams.directory_service_ns = config_.timing.coherence_ctrl_ns;
   cparams.flush_service_ns = config_.timing.filer_write_ns;
   cparams.lease_ns = config_.timing.lease_ns;
@@ -281,9 +277,9 @@ SimTime Simulation::ExecuteOp(SimTime now, const TraceRecord& record) {
       // A new version exists: the coherence protocol updates the directory
       // and invalidates stale copies elsewhere. PerfectProtocol is the
       // paper's §3.8 model — instant, free invalidation with global
-      // knowledge (plus the legacy --invalidation packet charging) — and
-      // reproduces the pre-protocol inline block byte-identically; modeled
-      // protocols put the messages on the network and may block `t`.
+      // knowledge — and reproduces the pre-protocol inline block
+      // byte-identically; modeled protocols put the messages on the network
+      // and may block `t`.
       t = coherence_->OnWrite(host_id, key, t, measured);
     }
   }
@@ -510,8 +506,7 @@ Metrics Simulation::Run(TraceSource& source) {
   metrics_.invalidations = directory_->invalidations();
   metrics_.coherence = coherence_->totals();
   // invalidation_messages predates the protocol layer; keep it as the
-  // protocol's wire-packet total (identical to the legacy count under
-  // perfect + --invalidation, zero under perfect without it).
+  // protocol's wire-packet total (always zero under perfect).
   metrics_.invalidation_messages = metrics_.coherence.invalidation_messages;
   metrics_.coherence_model = config_.coherence;
   metrics_.index_rehashes = directory_->index_rehashes();

@@ -1,7 +1,7 @@
 #include "src/trace/csv_import.h"
 
-#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <strings.h>
 #include <map>
 
@@ -25,10 +25,10 @@ int SplitCsv(char* line, char* fields[], int max_fields) {
     *comma = '\0';
     cursor = comma + 1;
   }
-  // Trim a trailing newline from the last field.
+  // Trim the '\r' of a CRLF line ending from the last field.
   char* last = fields[count - 1];
   const size_t len = std::strlen(last);
-  if (len > 0 && (last[len - 1] == '\n' || last[len - 1] == '\r')) {
+  if (len > 0 && last[len - 1] == '\r') {
     last[len - 1] = '\0';
   }
   return count;
@@ -55,8 +55,8 @@ CsvImportResult ImportBlockCsv(const std::string& csv_path, const CsvImportOptio
   FLASHSIM_CHECK(records != nullptr);
   FLASHSIM_CHECK(options.block_bytes > 0);
   CsvImportResult result;
-  std::FILE* file = std::fopen(csv_path.c_str(), "r");
-  if (file == nullptr) {
+  std::ifstream file(csv_path);
+  if (!file) {
     result.error = "cannot open CSV trace: " + csv_path;
     return result;
   }
@@ -65,15 +65,17 @@ CsvImportResult ImportBlockCsv(const std::string& csv_path, const CsvImportOptio
   std::map<std::string, uint32_t> volume_ids;    // hostname:disk -> file id
   const size_t start_index = records->size();
 
-  char line[1024];
+  // Lines split on '\n' only and have no length cap, so a long row is one
+  // row and line_number counts the file's real lines.
+  std::string line;
   uint64_t line_number = 0;
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
+  while (std::getline(file, line)) {
     ++line_number;
     if (options.max_records != 0 && result.imported >= options.max_records) {
       break;
     }
     char* fields[8];
-    const int n = SplitCsv(line, fields, 8);
+    const int n = SplitCsv(line.data(), fields, 8);
     if (n < 6) {
       if (line_number > 1) {  // a short first line is likely the header
         ++result.skipped;
@@ -133,7 +135,6 @@ CsvImportResult ImportBlockCsv(const std::string& csv_path, const CsvImportOptio
     records->push_back(record);
     ++result.imported;
   }
-  std::fclose(file);
 
   // Flag the leading fraction as warmup.
   const uint64_t warmup_count =

@@ -22,11 +22,9 @@ namespace flashsim {
 namespace {
 
 TEST(ShardRouter, SingleShardMapsEverythingToZero) {
-  for (ShardStrategy strategy : {ShardStrategy::kHash, ShardStrategy::kModulo}) {
-    ShardRouter router(1, strategy);
-    for (BlockKey key = 0; key < 1000; ++key) {
-      EXPECT_EQ(router.ShardOf(key), 0);
-    }
+  ShardRouter router(1);
+  for (BlockKey key = 0; key < 1000; ++key) {
+    EXPECT_EQ(router.ShardOf(key), 0);
   }
 }
 
@@ -48,30 +46,21 @@ TEST(ShardRouter, EveryKeyLandsInRangeAcrossShardCounts) {
     keys.push_back(rng.Next());
   }
   for (int count : {1, 2, 3, 8, ShardRouter::kMaxShards}) {
-    for (ShardStrategy strategy : {ShardStrategy::kHash, ShardStrategy::kModulo}) {
-      ShardRouter router(count, strategy);
-      for (BlockKey key : keys) {
-        const int shard = router.ShardOf(key);
-        ASSERT_GE(shard, 0);
-        ASSERT_LT(shard, count);
-      }
+    ShardRouter router(count);
+    for (BlockKey key : keys) {
+      const int shard = router.ShardOf(key);
+      ASSERT_GE(shard, 0);
+      ASSERT_LT(shard, count);
     }
   }
 }
 
-TEST(ShardRouter, ModuloStripesSequentialKeysRoundRobin) {
-  ShardRouter router(4, ShardStrategy::kModulo);
-  for (BlockKey key = 0; key < 64; ++key) {
-    EXPECT_EQ(router.ShardOf(key), static_cast<int>(key % 4));
-  }
-}
-
 TEST(ShardRouter, HashSpreadsSequentialKeysEvenly) {
-  // Sequential block keys are the common trace shape; the hash strategy
-  // must not funnel them onto a few shards. Accept ±20% of the ideal split.
+  // Sequential block keys are the common trace shape; the map must not
+  // funnel them onto a few shards. Accept ±20% of the ideal split.
   constexpr int kShards = 8;
   constexpr int kKeys = 80000;
-  ShardRouter router(kShards, ShardStrategy::kHash);
+  ShardRouter router(kShards);
   std::vector<int> histogram(kShards, 0);
   for (BlockKey key = 0; key < kKeys; ++key) {
     ++histogram[static_cast<size_t>(router.ShardOf(key))];
@@ -80,16 +69,6 @@ TEST(ShardRouter, HashSpreadsSequentialKeysEvenly) {
   for (int shard = 0; shard < kShards; ++shard) {
     EXPECT_NEAR(histogram[static_cast<size_t>(shard)], ideal, 0.20 * ideal) << shard;
   }
-}
-
-TEST(ShardRouter, StrategyNamesRoundTrip) {
-  for (ShardStrategy strategy : {ShardStrategy::kHash, ShardStrategy::kModulo}) {
-    const auto parsed = ParseShardStrategy(ShardStrategyName(strategy));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, strategy);
-  }
-  EXPECT_FALSE(ParseShardStrategy("round-robin").has_value());
-  EXPECT_FALSE(ParseShardStrategy("").has_value());
 }
 
 TEST(ShardSeed, ShardZeroReproducesLegacyFilerSeed) {
@@ -135,18 +114,18 @@ TEST(Backend, PerShardRngStreamsAreIndependent) {
 
 TEST(Backend, FactorySelectsSingleVsSharded) {
   TimingModel timing;
-  auto single = MakeStorageBackend(timing, 1, ShardStrategy::kHash, 1);
+  auto single = MakeStorageBackend(timing, 1, 1);
   EXPECT_EQ(single->num_shards(), 1);
   EXPECT_NE(dynamic_cast<SingleFilerBackend*>(single.get()), nullptr);
 
-  auto sharded = MakeStorageBackend(timing, 4, ShardStrategy::kHash, 1);
+  auto sharded = MakeStorageBackend(timing, 4, 1);
   EXPECT_EQ(sharded->num_shards(), 4);
   EXPECT_NE(dynamic_cast<ShardedFilerBackend*>(sharded.get()), nullptr);
 }
 
 TEST(Backend, SingleFilerChannelRoutesEverythingToShardZero) {
   TimingModel timing;
-  auto backend = MakeStorageBackend(timing, 1, ShardStrategy::kHash, 1);
+  auto backend = MakeStorageBackend(timing, 1, 1);
   NetworkLink link(timing, 4096);
   auto service = backend->Connect(link);
   ASSERT_NE(service, nullptr);
@@ -164,7 +143,7 @@ TEST(Backend, SingleFilerChannelRoutesEverythingToShardZero) {
 TEST(Backend, ShardedChannelRoutesByRouter) {
   TimingModel timing;
   constexpr int kShards = 4;
-  auto backend = MakeStorageBackend(timing, kShards, ShardStrategy::kHash, 1);
+  auto backend = MakeStorageBackend(timing, kShards, 1);
   NetworkLink link(timing, 4096);
   auto service = backend->Connect(link);
   ASSERT_NE(service, nullptr);
@@ -193,7 +172,7 @@ TEST(Backend, ShardedChannelRoutesByRouter) {
 
 TEST(Backend, AggregatesEqualShardSums) {
   TimingModel timing;
-  auto backend = MakeStorageBackend(timing, 3, ShardStrategy::kModulo, 9);
+  auto backend = MakeStorageBackend(timing, 3, 9);
   NetworkLink link(timing, 4096);
   auto service = backend->Connect(link);
   for (BlockKey key = 0; key < 300; ++key) {

@@ -1,5 +1,5 @@
-# Runs flashsim_cli with float flags that are non-finite or out of range,
-# and with flags that no longer exist. Each must be refused by the flag
+# Runs flashsim_cli with float flags that are non-finite, negative or out of
+# range, and with flags that no longer exist. Each must be refused by the flag
 # parser: exit 2 with the flag named on stderr, before any simulation runs
 # (no abort, no undefined cast to an integer duration).
 #
@@ -30,6 +30,15 @@ endforeach()
 foreach(value inf nan 101 -1)
   expect_usage_error("bad value for --prefetch-pct" "--prefetch-pct=${value}")
 endforeach()
-# Removed engine flags.
+# Capacities: a negative value, or one whose byte count overflows a
+# uint64_t, must be refused rather than wrapped or cast.
+foreach(value -1 1e30 inf nan)
+  foreach(flag ram-gib flash-gib ws-gib filer-tib)
+    expect_usage_error("bad value for --${flag}" "--${flag}=${value}")
+  endforeach()
+endforeach()
+# Removed engine, invalidation-model and shard-map flags.
 expect_usage_error("unknown flag: --partitions" "--partitions=4")
 expect_usage_error("unknown flag: --flash-rng" "--flash-rng=legacy")
+expect_usage_error("unknown flag: --invalidation" "--invalidation=async")
+expect_usage_error("unknown flag: --shard-strategy" "--shard-strategy=modulo")

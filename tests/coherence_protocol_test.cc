@@ -125,8 +125,6 @@ struct TestNet {
     CoherenceParams params;
     params.model = model;
     params.num_hosts = kHosts;
-    params.charge_legacy_traffic = false;
-    params.legacy_traffic_blocks_writer = false;
     params.directory_service_ns = timing.coherence_ctrl_ns;
     params.flush_service_ns = timing.filer_write_ns;
     params.lease_ns = timing.lease_ns;

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "src/backend/shard_router.h"
 #include "src/consistency/directory.h"
 
 namespace flashsim {

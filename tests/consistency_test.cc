@@ -107,7 +107,38 @@ TEST(Consistency, DirectoryTracksEvictions) {
   EXPECT_EQ(m.invalidating_writes, 0u);
 }
 
-TEST(Consistency, SharedWorkingSetProducesInvalidationTraffic) {
+TEST(Consistency, PerfectModelInvalidatesForFree) {
+  // The paper's model (§3.8): three hosts cache the block and the fourth
+  // writes it. Every stale copy is counted, but no message goes on the wire
+  // and the writer finishes at RAM speed.
+  SimConfig config = TwoHostConfig();
+  config.num_hosts = 4;
+  Simulation sim(config);
+  VectorTraceSource source({
+      Op(TraceOp::kRead, 0, 1, 7),
+      Op(TraceOp::kRead, 1, 1, 7),
+      Op(TraceOp::kRead, 2, 1, 7),
+      Op(TraceOp::kWrite, 3, 1, 7),
+  });
+  const Metrics m = sim.Run(source);
+  EXPECT_EQ(m.invalidations, 3u);
+  EXPECT_EQ(m.invalidation_messages, 0u);
+  EXPECT_FALSE(m.coherence.any());
+  EXPECT_EQ(static_cast<SimDuration>(m.write_latency.mean_ns()), config.timing.ram_access_ns);
+}
+
+TEST(Consistency, PerfectModelNonInvalidatingWriteIsFree) {
+  const SimConfig config = TwoHostConfig();
+  Simulation sim(config);
+  VectorTraceSource source({Op(TraceOp::kWrite, 1, 1, 99)});
+  const Metrics m = sim.Run(source);
+  EXPECT_EQ(m.invalidations, 0u);
+  EXPECT_EQ(m.invalidation_messages, 0u);
+  EXPECT_FALSE(m.coherence.any());
+  EXPECT_EQ(static_cast<SimDuration>(m.write_latency.mean_ns()), config.timing.ram_access_ns);
+}
+
+TEST(Consistency, SharedWorkingSetInvalidatesMostWrites) {
   // Both hosts hammer the same small set of blocks with 30% writes; a
   // substantial fraction of writes must invalidate (the Fig 11 effect).
   SimConfig config = TwoHostConfig();

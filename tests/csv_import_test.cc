@@ -80,6 +80,37 @@ TEST(CsvImport, SkipsMalformedRowsAndReportsFirst) {
   std::remove(path.c_str());
 }
 
+TEST(CsvImport, LongRowIsOneRecordAndLineNumbersStayReal) {
+  // A 1,051-byte row whose ignored latency column ends in text shaped like
+  // a second row, placed where a 1 KiB line buffer would cut it. The row
+  // must import as one record (no write from hostB appears), and the
+  // malformed row after it must be reported at its own line number.
+  const std::string head = "t,hostA,0,Read,0,4096,";
+  const std::string row = head + std::string(1023 - head.size(), 'x') +
+                          "0,hostB,1,Write,8192,4096,10";
+  ASSERT_GT(row.size(), 1024u);
+  const std::string path = WriteTemp("long.csv", row + "\n"
+                                                 "garbage line without commas\n"
+                                                 "t,hostA,0,Write,4096,4096,0\n");
+  std::vector<TraceRecord> records;
+  CsvImportOptions options;
+  options.warmup_fraction = 0.0;
+  const CsvImportResult result = ImportBlockCsv(path, options, &records);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.imported, 2u);
+  EXPECT_EQ(result.skipped, 1u);
+  EXPECT_EQ(result.first_bad_line, 2u);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].op, TraceOp::kRead);
+  EXPECT_EQ(records[0].block, 0u);
+  EXPECT_EQ(records[1].op, TraceOp::kWrite);
+  EXPECT_EQ(records[1].block, 1u);
+  for (const TraceRecord& record : records) {
+    EXPECT_EQ(record.host, 0);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CsvImport, WarmupFractionFlagsLeadingRecords) {
   std::string content = "h,e,a,d,e,r\n";
   for (int i = 0; i < 10; ++i) {
