@@ -73,7 +73,8 @@ struct BenchOptions {
 class BenchFlags {
  public:
   BenchFlags() {
-    parser_.AddUint64("scale", "capacity scale divisor (timings unchanged)", &options_.scale);
+    parser_.AddUint64("scale", "capacity scale divisor (timings unchanged)", &options_.scale,
+                      1);
     parser_.AddInt("jobs", "worker threads (default: hardware concurrency)", &options_.jobs);
     parser_.AddBool("csv", "shorthand for --out=csv", &csv_);
     parser_.AddBool("audit", "run the invariant auditor during every experiment",

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/consistency/directory.h"
 #include "src/core/experiment.h"
 #include "src/harness/harness.h"
 #include "src/util/table.h"
@@ -23,7 +24,8 @@ using namespace flashsim;
 int main(int argc, char** argv) {
   int hosts = 1024;
   BenchFlags flags;
-  flags.parser().AddInt("hosts", "desktops booting simultaneously", &hosts);
+  flags.parser().AddInt("hosts", "desktops booting simultaneously", &hosts, 1,
+                        Directory::kMaxHosts);
   const BenchOptions options = flags.ParseOrExit(argc, argv);
 
   ExperimentParams base = BaselineParams(options);

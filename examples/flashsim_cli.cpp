@@ -17,7 +17,8 @@
 //     --ram-gib=N --flash-gib=N --ws-gib=N --filer-tib=N
 //                             (negative or byte count over 2^64: exit 2)
 //     --hosts=N --threads=N --write-pct=N --scale=N --seed=N
-//     --filers=N              sharded storage backend
+//                             (hosts, threads, scale >= 1; hosts <= 4096)
+//     --filers=N              filer shards in the storage backend (1..64)
 //     --prefetch-pct=N        filer fast-read rate
 //     --flash-read-us=N --flash-write-us=N
 //     --flash-noise=SIGMA     mean-one lognormal flash latency noise
@@ -60,40 +61,10 @@ struct CliOptions {
   int64_t sample_stride_ms = 0;
 };
 
-// Parses a plain decimal number and accepts it only when it is finite and in
-// [lo, hi], so no NaN, infinity or out-of-range value reaches a cast to an
-// integer duration (undefined behaviour) or a run that fails deep inside.
-bool ParseInRange(const std::string& value, double lo, double hi, double* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0' || !std::isfinite(parsed) ||
-      parsed < lo || parsed > hi) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
 // Largest microsecond latency whose nanosecond count fits a SimDuration.
 constexpr double kMaxLatencyUs = 9.2e15;
 // Largest millisecond count whose nanosecond count fits a SimDuration.
 constexpr double kMaxDurationMs = 9.2e12;
-
-// Registers a capacity flag in paper units of `unit_bytes` each. A negative
-// value, or one whose byte count does not fit a uint64_t, is refused rather
-// than cast to a wrapped or undefined byte count.
-void AddCapacityFlag(FlagParser& parser, const std::string& name, const std::string& help,
-                     uint64_t unit_bytes, double* out) {
-  parser.AddCustom(name, "N", help, [unit_bytes, out](const std::string& value) {
-    double units = 0.0;
-    if (!ParseInRange(value, 0.0, std::numeric_limits<double>::max(), &units) ||
-        !CapacityFitsBytes(units * static_cast<double>(unit_bytes))) {
-      return false;
-    }
-    *out = units;
-    return true;
-  });
-}
 
 void RegisterFlags(FlagParser& parser, CliOptions* options) {
   ExperimentParams& params = options->params;
@@ -193,16 +164,19 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                      params.timing.flash_write_ns = static_cast<SimDuration>(us * 1000.0);
                      return true;
                    });
-  parser.AddInt("hosts", "number of hosts", &params.hosts);
-  parser.AddInt("threads", "threads per host", &params.threads_per_host);
-  parser.AddInt("filers", "filer shards in the storage backend", &params.num_filers);
+  parser.AddInt("hosts", "number of hosts", &params.hosts, 1, Directory::kMaxHosts);
+  // The synthetic trace spec carries the thread count as a uint16_t.
+  parser.AddInt("threads", "threads per host", &params.threads_per_host, 1,
+                std::numeric_limits<uint16_t>::max());
+  parser.AddInt("filers", "filer shards in the storage backend", &params.num_filers, 1,
+                StorageBackend::kMaxShards);
   parser.AddCustom("flash-noise", "SIGMA",
                    "mean-one lognormal flash latency noise (0 = off)",
                    [&params](const std::string& value) {
                      return ParseInRange(value, 0.0, std::numeric_limits<double>::max(),
                                          &params.timing.flash_noise_sigma);
                    });
-  parser.AddUint64("scale", "capacity scale divisor", &params.scale);
+  parser.AddUint64("scale", "capacity scale divisor", &params.scale, 1);
   parser.AddUint64("seed", "workload seed", &params.seed);
   parser.AddCustom("series-ms", "N", "read-latency time series window (ms)",
                    [options](const std::string& value) {

@@ -6,6 +6,9 @@
 //                   [--ram-gib=N] [--flash-gib=N] [--scale=N] [--jobs=N]
 //                   [--out=table|csv|json]
 //
+// A negative capacity, a percentage outside 0..100 or --scale=0 exits 2
+// naming the flag.
+//
 // POL is one of: s (sync write-through), a (async write-through),
 // p1/p5/p15/p30 (periodic syncer), n (writeback on eviction only).
 //
@@ -61,11 +64,11 @@ int main(int argc, char** argv) {
                      explicit_config = true;
                      return true;
                    });
-  parser.AddDouble("ws-gib", "working set GiB", &params.working_set_gib);
-  parser.AddDouble("write-pct", "write percentage", &write_pct);
-  parser.AddDouble("ram-gib", "RAM cache GiB", &params.ram_gib);
-  parser.AddDouble("flash-gib", "flash cache GiB", &params.flash_gib);
-  parser.AddUint64("scale", "capacity scale divisor", &params.scale);
+  AddCapacityFlag(parser, "ws-gib", "working set GiB", kGiB, &params.working_set_gib);
+  parser.AddDouble("write-pct", "write percentage", &write_pct, 0.0, 100.0);
+  AddCapacityFlag(parser, "ram-gib", "RAM cache GiB", kGiB, &params.ram_gib);
+  AddCapacityFlag(parser, "flash-gib", "flash cache GiB", kGiB, &params.flash_gib);
+  parser.AddUint64("scale", "capacity scale divisor", &params.scale, 1);
   parser.AddInt("jobs", "worker threads", &jobs);
   parser.AddCustom("out", "table|csv|json", "output format", [&](const std::string& value) {
     const auto format = ParseOutputFormat(value);

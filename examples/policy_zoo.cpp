@@ -4,7 +4,10 @@
 //
 //   policy_zoo [--arch=lookaside|unified] [--ws-gib=N] [--write-pct=N]
 //              [--ram-gib=N] [--flash-gib=N] [--scale=N] [--jobs=N]
-//              [--out=table|csv|json]
+//              [--ws-io-pct=N] [--out=table|csv|json]
+//
+// A negative capacity, a percentage outside 0..100 or --scale=0 exits 2
+// naming the flag.
 //
 // The sweep runs every replacement policy (lru fifo clock slru lruk), each
 // with and without the Flashield-style ghost-LRU admission filter, on one
@@ -79,14 +82,14 @@ int main(int argc, char** argv) {
                      params.arch = *arch;
                      return true;
                    });
-  parser.AddDouble("ws-gib", "working set GiB", &params.working_set_gib);
-  parser.AddDouble("write-pct", "write percentage", &write_pct);
+  AddCapacityFlag(parser, "ws-gib", "working set GiB", kGiB, &params.working_set_gib);
+  parser.AddDouble("write-pct", "write percentage", &write_pct, 0.0, 100.0);
   double ws_io_pct = 100.0 * params.working_set_io_fraction;
   parser.AddDouble("ws-io-pct", "percentage of I/O aimed at the working set "
-                   "(the rest is a one-touch scan over the filer)", &ws_io_pct);
-  parser.AddDouble("ram-gib", "RAM cache GiB", &params.ram_gib);
-  parser.AddDouble("flash-gib", "flash cache GiB", &params.flash_gib);
-  parser.AddUint64("scale", "capacity scale divisor", &params.scale);
+                   "(the rest is a one-touch scan over the filer)", &ws_io_pct, 0.0, 100.0);
+  AddCapacityFlag(parser, "ram-gib", "RAM cache GiB", kGiB, &params.ram_gib);
+  AddCapacityFlag(parser, "flash-gib", "flash cache GiB", kGiB, &params.flash_gib);
+  parser.AddUint64("scale", "capacity scale divisor", &params.scale, 1);
   parser.AddInt("jobs", "worker threads", &jobs);
   parser.AddCustom("out", "table|csv|json", "output format", [&](const std::string& value) {
     const auto format = ParseOutputFormat(value);

@@ -1,35 +1,39 @@
-// Storage backends: ownership of the filer side of the host→storage path.
+// Storage backend: the filer side of every host's path to storage (§5).
 //
-// A backend owns the filer service resources behind every host and hands
-// each host a StorageService channel bound to that host's private network
-// link (Connect). Two backends exist:
+// StorageBackend owns N >= 1 independent Filer shards and the one shard
+// map, ShardOf(key) = Mix64(key) % N. N == 1 is the paper's deployment —
+// one shared filer — and maps every key to shard 0; larger N is the §7.7
+// scaling question (filer_scaling, boot_storm --filers). Each shard has its
+// own bounded-concurrency service resource and its own RNG stream, split
+// deterministically from SimConfig::seed (ShardSeed below), so adding shards
+// never perturbs another shard's fast/slow read draws.
 //
-//   SingleFilerBackend  — exactly the pre-backend simulator: one Filer,
-//       every channel is a RemoteStore. num_filers == 1 routes here and is
-//       byte-identical to the old hard-wired path (guarded by
-//       tests/golden_digest_test.cc).
-//   ShardedFilerBackend — N independent Filer shards behind a ShardRouter.
-//       Each shard has its own bounded-concurrency service resource and its
-//       own RNG stream, split deterministically from SimConfig::seed
-//       (ShardSeed below), so adding shards never perturbs another shard's
-//       fast/slow read draws and runs stay reproducible at any shard count.
+// StorageService is one host's channel to the backend, bound to the host's
+// private network link: request packet out, the owning shard's filer
+// service, response packet back. The link is shared by all shards — the
+// paper's contention point is the client's network segment, not the filer —
+// so sharding relieves filer queueing while the wire stays the wire.
+//
+// Routing is a pure function of (key, shard count): every host, the
+// background writers, the per-shard stack counters and the coherence
+// fabric ask the same map, and the cross-shard conservation audit
+// (src/check/audit.h) only holds because they always agree.
 //
 // Determinism contract: shard s of an N-shard backend over seed S always
-// draws from Rng(ShardSeed(S, s)), and ShardSeed(S, 0) equals the seed the
-// single-filer path has always used — so the 1-shard sharded backend and
-// the single-filer backend are indistinguishable (DESIGN.md §11).
+// draws from Rng(ShardSeed(S, s)), and ShardSeed(S, 0) is the seed the
+// single-filer simulator has always used (DESIGN.md §11).
 #ifndef FLASHSIM_SRC_BACKEND_STORAGE_BACKEND_H_
 #define FLASHSIM_SRC_BACKEND_STORAGE_BACKEND_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/backend/shard_router.h"
-#include "src/backend/storage_service.h"
 #include "src/device/filer.h"
 #include "src/device/network_link.h"
 #include "src/device/timing.h"
+#include "src/sim/sim_time.h"
+#include "src/trace/record.h"
+#include "src/util/assert.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -45,22 +49,33 @@ inline uint64_t ShardSeed(uint64_t base_seed, int shard) {
 
 class StorageBackend {
  public:
-  virtual ~StorageBackend() = default;
+  // Upper bound on shards per backend, which keeps every shard index
+  // representable in the telemetry and JSON schemas.
+  static constexpr int kMaxShards = 64;
+
+  StorageBackend(const TimingModel& timing, int num_shards, uint64_t base_seed);
 
   StorageBackend(const StorageBackend&) = delete;
   StorageBackend& operator=(const StorageBackend&) = delete;
 
-  // Builds one host's channel to this backend, routed through the host's
-  // private link. The channel borrows the backend and link; both must
-  // outlive it.
-  virtual std::unique_ptr<StorageService> Connect(NetworkLink& link) = 0;
+  int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  virtual int num_shards() const = 0;
-  virtual Filer& shard(int index) = 0;
-  const Filer& shard(int index) const {
-    return const_cast<StorageBackend*>(this)->shard(index);
+  // The shard owning `key`; stable for the backend's lifetime.
+  int ShardOf(BlockKey key) const {
+    if (shards_.size() == 1) {
+      return 0;
+    }
+    return static_cast<int>(Mix64(key) % static_cast<uint64_t>(shards_.size()));
   }
-  virtual const ShardRouter& router() const = 0;
+
+  Filer& shard(int index) {
+    FLASHSIM_CHECK(index >= 0 && index < num_shards());
+    return shards_[static_cast<size_t>(index)];
+  }
+  const Filer& shard(int index) const {
+    FLASHSIM_CHECK(index >= 0 && index < num_shards());
+    return shards_[static_cast<size_t>(index)];
+  }
 
   // Aggregates across shards — the totals the single-filer metrics always
   // reported, preserved shard-count-independently.
@@ -69,54 +84,51 @@ class StorageBackend {
   uint64_t reads() const { return Sum(&Filer::reads); }
   uint64_t writes() const { return Sum(&Filer::writes); }
 
- protected:
-  StorageBackend() = default;
-
  private:
   template <typename Getter>
   uint64_t Sum(Getter getter) const {
     uint64_t total = 0;
-    for (int s = 0; s < num_shards(); ++s) {
-      total += (shard(s).*getter)();
+    for (const Filer& filer : shards_) {
+      total += (filer.*getter)();
     }
     return total;
   }
+
+  // Reserved once in the constructor and never resized: channels and
+  // probes hold pointers into it.
+  std::vector<Filer> shards_;
 };
 
-class SingleFilerBackend final : public StorageBackend {
+// One host's path to the storage backend. A cache stack's misses and
+// writebacks leave the host through exactly one of these; the block key
+// picks the filer shard. Borrows the link and backend, which must outlive it.
+class StorageService final {
  public:
-  SingleFilerBackend(const TimingModel& timing, uint64_t base_seed);
+  StorageService(NetworkLink& link, StorageBackend& backend)
+      : link_(&link), backend_(&backend) {}
 
-  std::unique_ptr<StorageService> Connect(NetworkLink& link) override;
-  int num_shards() const override { return 1; }
-  Filer& shard(int index) override;
-  const ShardRouter& router() const override { return router_; }
+  // Fetches one block: small request out, filer read, data packet back.
+  // Sets *was_fast (may be null) to whether the filer's read-ahead hit.
+  SimTime Read(SimTime now, BlockKey key, bool* was_fast) {
+    const SimTime at_filer = link_->SendToFiler(now, /*carries_data=*/false);
+    const SimTime served = backend_->shard(backend_->ShardOf(key)).Read(at_filer, was_fast);
+    return link_->SendToHost(served, /*carries_data=*/true);
+  }
+
+  // Writes one block: data packet out, filer write, small ack back.
+  SimTime Write(SimTime now, BlockKey key) {
+    const SimTime at_filer = link_->SendToFiler(now, /*carries_data=*/true);
+    const SimTime served = backend_->shard(backend_->ShardOf(key)).Write(at_filer);
+    return link_->SendToHost(served, /*carries_data=*/false);
+  }
+
+  int num_shards() const { return backend_->num_shards(); }
+  int ShardOf(BlockKey key) const { return backend_->ShardOf(key); }
 
  private:
-  Filer filer_;
-  ShardRouter router_;
+  NetworkLink* link_;
+  StorageBackend* backend_;
 };
-
-class ShardedFilerBackend final : public StorageBackend {
- public:
-  ShardedFilerBackend(const TimingModel& timing, int num_shards, uint64_t base_seed);
-
-  std::unique_ptr<StorageService> Connect(NetworkLink& link) override;
-  int num_shards() const override { return static_cast<int>(shards_.size()); }
-  Filer& shard(int index) override;
-  const ShardRouter& router() const override { return router_; }
-
- private:
-  // unique_ptr per shard: Filer holds a MultiResource with internal state
-  // the vector must never move once channels hold shard pointers.
-  std::vector<std::unique_ptr<Filer>> shards_;
-  ShardRouter router_;
-};
-
-// num_filers == 1 builds the single-filer backend (the byte-identical
-// legacy path); anything larger builds the sharded cluster.
-std::unique_ptr<StorageBackend> MakeStorageBackend(const TimingModel& timing, int num_filers,
-                                                   uint64_t base_seed);
 
 }  // namespace flashsim
 

@@ -6,13 +6,12 @@
 #include <sstream>
 
 #include "src/arch/subset_stack.h"
+#include "src/backend/storage_backend.h"
 #include "src/consistency/directory.h"
 #include "src/device/background_writer.h"
-#include "src/device/filer.h"
 #include "src/device/flash_device.h"
 #include "src/device/network_link.h"
 #include "src/device/ram_device.h"
-#include "src/backend/remote_store.h"
 #include "src/device/timing.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
@@ -91,11 +90,11 @@ class Bridge : public ResidencyListener {
 // One host's real-side rig (devices + stack) plus its oracle.
 struct DiffHost {
   DiffHost(const DiffConfig& config, const TimingModel& timing, EventQueue& queue,
-           Filer& filer, Directory& directory, int host_id)
+           StorageBackend& backend, Directory& directory, int host_id)
       : ram_dev(timing),
         flash_dev(timing),
         link(timing, 4096, queue.clock()),
-        remote(link, filer),
+        remote(link, backend),
         writer(queue, remote, &flash_dev, timing.writeback_window),
         bridge(directory, host_id) {
     StackConfig stack_config;
@@ -124,20 +123,20 @@ struct DiffHost {
   RamDevice ram_dev;
   FlashDevice flash_dev;
   NetworkLink link;
-  RemoteStore remote;
+  StorageService remote;
   BackgroundWriter writer;
   Bridge bridge;
   std::unique_ptr<CacheStack> stack;
   std::unique_ptr<OracleStack> oracle;
 };
 
-// CoherenceTransport over the rig's hosts and the single shared filer
+// CoherenceTransport over the rig's hosts and the shared 1-shard backend
 // (mirrors Simulation::CoherenceFabric). Protocol drops land on the *real*
 // stacks; the residency bridges keep the directory in step.
 class DiffFabric : public CoherenceTransport {
  public:
-  DiffFabric(std::vector<std::unique_ptr<DiffHost>>& hosts, Filer& filer)
-      : hosts_(&hosts), filer_(&filer) {}
+  DiffFabric(std::vector<std::unique_ptr<DiffHost>>& hosts, StorageBackend& backend)
+      : hosts_(&hosts), backend_(&backend) {}
 
   SimTime HostToFiler(int host, SimTime now, bool carries_data) override {
     return at(host).link.SendToFiler(now, carries_data);
@@ -146,8 +145,7 @@ class DiffFabric : public CoherenceTransport {
     return at(host).link.SendToHost(now, carries_data);
   }
   SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
-    (void)key;  // one filer: every key's home shard
-    return filer_->ServeControl(arrival, service);
+    return backend_->shard(backend_->ShardOf(key)).ServeControl(arrival, service);
   }
   void DropCopy(int host, BlockKey key) override { at(host).stack->Invalidate(key); }
   bool HoldsCopy(int host, BlockKey key) const override { return at(host).stack->Holds(key); }
@@ -160,7 +158,7 @@ class DiffFabric : public CoherenceTransport {
   const DiffHost& at(int host) const { return *(*hosts_)[static_cast<size_t>(host)]; }
 
   std::vector<std::unique_ptr<DiffHost>>* hosts_;
-  Filer* filer_;
+  StorageBackend* backend_;
 };
 
 // OracleCoherence's residency window over the *oracle* stacks — the model
@@ -332,14 +330,14 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
   // holder drops, not just grants (ops are microseconds apart).
   timing.lease_ns = kMillisecond;
   EventQueue queue;
-  Filer filer(timing, Mix64(config.seed ^ 0xf11e5ULL));
+  StorageBackend backend(timing, /*num_shards=*/1, config.seed);
   Directory directory(config.num_hosts);
   std::vector<std::unique_ptr<DiffHost>> hosts;
   hosts.reserve(static_cast<size_t>(config.num_hosts));
   for (int h = 0; h < config.num_hosts; ++h) {
-    hosts.push_back(std::make_unique<DiffHost>(config, timing, queue, filer, directory, h));
+    hosts.push_back(std::make_unique<DiffHost>(config, timing, queue, backend, directory, h));
   }
-  DiffFabric fabric(hosts, filer);
+  DiffFabric fabric(hosts, backend);
   CoherenceParams cparams;
   cparams.model = config.coherence;
   cparams.num_hosts = config.num_hosts;

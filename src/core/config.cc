@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/backend/shard_router.h"
+#include "src/backend/storage_backend.h"
 #include "src/consistency/directory.h"
 #include "src/util/assert.h"
 
@@ -13,9 +13,9 @@ void SimConfig::Validate() const {
   FLASHSIM_CHECK(block_bytes > 0);
   FLASHSIM_CHECK(num_hosts >= 1 && num_hosts <= Directory::kMaxHosts);
   FLASHSIM_CHECK(threads_per_host >= 1);
-  // The shard router maps block hashes onto at most kMaxShards filers;
-  // larger counts are not representable under the shard map.
-  FLASHSIM_CHECK(num_filers >= 1 && num_filers <= ShardRouter::kMaxShards);
+  // The backend's shard map spreads block hashes over at most kMaxShards
+  // filers; larger counts are not representable under the shard map.
+  FLASHSIM_CHECK(num_filers >= 1 && num_filers <= StorageBackend::kMaxShards);
   // The naive stack's RAM→flash writeback requires RAM ⊆ flash, which a
   // DRAM→flash admission filter deliberately breaks.
   FLASHSIM_CHECK(arch != Architecture::kNaive || admission == AdmissionPolicy::kAll);

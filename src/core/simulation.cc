@@ -26,8 +26,8 @@ struct Simulation::HostState {
       : ram_dev(config.timing),
         flash_dev(config.timing),
         link(config.timing, config.block_bytes, queue.clock()),
-        remote(backend.Connect(link)),
-        writer(queue, *remote, &flash_dev, config.timing.writeback_window),
+        remote(link, backend),
+        writer(queue, remote, &flash_dev, config.timing.writeback_window),
         bridge(directory, host_id) {
     StackConfig stack_config;
     stack_config.ram_blocks = config.ram_blocks();
@@ -47,15 +47,15 @@ struct Simulation::HostState {
       ftl_timings.block_erase_ns = config.timing.ftl_block_erase_ns;
       flash_dev.EnableFtl(stack_config.flash_blocks, ftl_params, ftl_timings);
     }
-    stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, *remote, writer);
+    stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, remote, writer);
     stack->set_residency_listener(&bridge);
   }
 
   RamDevice ram_dev;
   FlashDevice flash_dev;
   NetworkLink link;
-  // This host's channel to the storage backend (single filer or sharded).
-  std::unique_ptr<StorageService> remote;
+  // This host's channel to the storage backend.
+  StorageService remote;
   BackgroundWriter writer;
   HostResidencyBridge bridge;
   std::unique_ptr<CacheStack> stack;
@@ -76,8 +76,8 @@ class Simulation::CoherenceFabric : public CoherenceTransport {
     return sim_->hosts_[static_cast<size_t>(host)]->link.SendToHost(now, carries_data);
   }
   SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
-    const int shard = sim_->hosts_[0]->remote->ShardOf(key);
-    return sim_->backend_->shard(shard).ServeControl(arrival, service);
+    StorageBackend& backend = *sim_->backend_;
+    return backend.shard(backend.ShardOf(key)).ServeControl(arrival, service);
   }
   void DropCopy(int host, BlockKey key) override {
     sim_->hosts_[static_cast<size_t>(host)]->stack->Invalidate(key);
@@ -97,7 +97,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   config_.Validate();
   // ShardSeed(seed, 0) reproduces the historical single-filer RNG stream,
   // so num_filers == 1 stays byte-identical to the pre-backend simulator.
-  backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.seed);
+  backend_ = std::make_unique<StorageBackend>(config_.timing, config_.num_filers, config_.seed);
   directory_ = std::make_unique<Directory>(config_.num_hosts);
   // Pre-size the directory's holders index for the most blocks that can be
   // cached anywhere at once, so it never rehashes mid-trace.

@@ -58,12 +58,6 @@ class Simulation : private EventHandler {
   NetworkLink& link(int host);
   FlashDevice& flash_device(int host);
   const BackgroundWriter& writer(int host) const;
-  // Filer shard accessors; the default argument keeps single-filer callers
-  // (`sim.filer()`) unchanged.
-  Filer& filer(int shard = 0) { return backend_->shard(shard); }
-  StorageBackend& backend() { return *backend_; }
-  const StorageBackend& backend() const { return *backend_; }
-  int num_filer_shards() const { return backend_->num_shards(); }
   const SimConfig& config() const { return config_; }
   const Directory& directory() const { return *directory_; }
   // The run's coherence protocol (DESIGN.md §15); always non-null after

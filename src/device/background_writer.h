@@ -17,7 +17,7 @@
 
 #include <cstdint>
 
-#include "src/backend/storage_service.h"
+#include "src/backend/storage_backend.h"
 #include "src/device/flash_device.h"
 #include "src/trace/record.h"
 #include "src/sim/event_queue.h"

@@ -1,43 +1,46 @@
 #include "src/harness/flags.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
+#include "src/core/experiment.h"
 #include "src/util/assert.h"
 
 namespace flashsim {
 
 namespace {
 
-bool ParseUint64Value(const std::string& text, uint64_t* out) {
-  if (text.empty()) {
+// Plain decimal digits only: strtoull alone would wrap "-1" to 2^64 - 1 and
+// saturate an overflowing value instead of refusing it.
+bool ParseUint64InRange(const std::string& text, uint64_t lo, uint64_t hi, uint64_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
     return false;
   }
+  errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (end == nullptr || *end != '\0' || errno == ERANGE || value < lo || value > hi) {
     return false;
   }
   *out = static_cast<uint64_t>(value);
   return true;
 }
 
-bool ParseDoubleValue(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
+}  // namespace
+
+bool ParseInRange(const std::string& value, double lo, double hi, double* out) {
   char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || end == nullptr || *end != '\0' || !std::isfinite(parsed) ||
+      parsed < lo || parsed > hi) {
     return false;
   }
-  *out = value;
+  *out = parsed;
   return true;
 }
-
-}  // namespace
 
 void FlagParser::Register(Flag flag) {
   FLASHSIM_CHECK(Find(flag.name) == nullptr);
@@ -56,15 +59,18 @@ void FlagParser::AddBool(const std::string& name, const std::string& help, bool*
   Register(std::move(flag));
 }
 
-void FlagParser::AddInt(const std::string& name, const std::string& help, int* out) {
+void FlagParser::AddInt(const std::string& name, const std::string& help, int* out, int lo,
+                        int hi) {
+  FLASHSIM_CHECK(0 <= lo && lo <= hi);
   Flag flag;
   flag.name = name;
   flag.value_hint = "N";
   flag.help = help;
   flag.takes_value = true;
-  flag.handler = [out](const std::string& value) {
+  flag.handler = [out, lo, hi](const std::string& value) {
     uint64_t parsed = 0;
-    if (!ParseUint64Value(value, &parsed)) {
+    if (!ParseUint64InRange(value, static_cast<uint64_t>(lo), static_cast<uint64_t>(hi),
+                            &parsed)) {
       return false;
     }
     *out = static_cast<int>(parsed);
@@ -73,23 +79,29 @@ void FlagParser::AddInt(const std::string& name, const std::string& help, int* o
   Register(std::move(flag));
 }
 
-void FlagParser::AddUint64(const std::string& name, const std::string& help, uint64_t* out) {
+void FlagParser::AddUint64(const std::string& name, const std::string& help, uint64_t* out,
+                           uint64_t lo, uint64_t hi) {
   Flag flag;
   flag.name = name;
   flag.value_hint = "N";
   flag.help = help;
   flag.takes_value = true;
-  flag.handler = [out](const std::string& value) { return ParseUint64Value(value, out); };
+  flag.handler = [out, lo, hi](const std::string& value) {
+    return ParseUint64InRange(value, lo, hi, out);
+  };
   Register(std::move(flag));
 }
 
-void FlagParser::AddDouble(const std::string& name, const std::string& help, double* out) {
+void FlagParser::AddDouble(const std::string& name, const std::string& help, double* out,
+                           double lo, double hi) {
   Flag flag;
   flag.name = name;
   flag.value_hint = "N";
   flag.help = help;
   flag.takes_value = true;
-  flag.handler = [out](const std::string& value) { return ParseDoubleValue(value, out); };
+  flag.handler = [out, lo, hi](const std::string& value) {
+    return ParseInRange(value, lo, hi, out);
+  };
   Register(std::move(flag));
 }
 
@@ -182,6 +194,19 @@ void FlagParser::ParseOrExit(int argc, char** argv) {
   if (!Parse(argc, argv)) {
     std::exit(2);
   }
+}
+
+void AddCapacityFlag(FlagParser& parser, const std::string& name, const std::string& help,
+                     uint64_t unit_bytes, double* out) {
+  parser.AddCustom(name, "N", help, [unit_bytes, out](const std::string& value) {
+    double units = 0.0;
+    if (!ParseInRange(value, 0.0, std::numeric_limits<double>::max(), &units) ||
+        !CapacityFitsBytes(units * static_cast<double>(unit_bytes))) {
+      return false;
+    }
+    *out = units;
+    return true;
+  });
 }
 
 }  // namespace flashsim

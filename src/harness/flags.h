@@ -10,21 +10,32 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
 
 namespace flashsim {
 
+// Parses a plain decimal number and accepts it only when it is finite and in
+// [lo, hi], so no NaN, infinity or out-of-range value reaches a cast to an
+// integer duration (undefined behaviour) or a run that fails deep inside.
+bool ParseInRange(const std::string& value, double lo, double hi, double* out);
+
 // Collects flag registrations, then parses argv. Value flags take
 // --name=value; bool flags are bare switches (--csv). Registration order is
-// the usage-line order.
+// the usage-line order. Numeric flags accept only values in [lo, hi]; any
+// other value is a bad value, like a malformed one.
 class FlagParser {
  public:
   void AddBool(const std::string& name, const std::string& help, bool* out);
-  void AddInt(const std::string& name, const std::string& help, int* out);
-  void AddUint64(const std::string& name, const std::string& help, uint64_t* out);
-  void AddDouble(const std::string& name, const std::string& help, double* out);
+  void AddInt(const std::string& name, const std::string& help, int* out, int lo = 0,
+              int hi = std::numeric_limits<int>::max());
+  void AddUint64(const std::string& name, const std::string& help, uint64_t* out,
+                 uint64_t lo = 0, uint64_t hi = std::numeric_limits<uint64_t>::max());
+  void AddDouble(const std::string& name, const std::string& help, double* out,
+                 double lo = std::numeric_limits<double>::lowest(),
+                 double hi = std::numeric_limits<double>::max());
   void AddString(const std::string& name, const std::string& help, std::string* out);
   // Escape hatch for flags with custom syntax (enums, policies). The
   // handler returns false to reject the value.
@@ -57,6 +68,12 @@ class FlagParser {
 
   std::vector<Flag> flags_;
 };
+
+// Registers a capacity flag in paper units of `unit_bytes` each (kGiB,
+// kTiB). A negative value, or one whose byte count does not fit a uint64_t,
+// is refused rather than cast to a wrapped or undefined byte count.
+void AddCapacityFlag(FlagParser& parser, const std::string& name, const std::string& help,
+                     uint64_t unit_bytes, double* out);
 
 }  // namespace flashsim
 

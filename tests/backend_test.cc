@@ -1,17 +1,14 @@
-// Unit coverage for the extracted storage backend (src/backend/): router
-// stability and distribution across shard counts, the per-shard RNG seed
-// split and stream independence, backend construction/routing, and the
-// cross-shard conservation sums a full sharded run must satisfy.
+// Unit coverage for the storage backend (src/backend/): shard-map
+// stability, range and distribution across shard counts, the per-shard RNG
+// seed split and stream independence, channel routing, and the cross-shard
+// conservation sums a full sharded run must satisfy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <vector>
 
-#include "src/backend/remote_store.h"
-#include "src/backend/shard_router.h"
 #include "src/backend/storage_backend.h"
 #include "src/core/experiment.h"
 #include "src/device/filer.h"
@@ -21,49 +18,60 @@
 namespace flashsim {
 namespace {
 
-TEST(ShardRouter, SingleShardMapsEverythingToZero) {
-  ShardRouter router(1);
+TEST(ShardMap, SingleShardMapsEverythingToZero) {
+  TimingModel timing;
+  const StorageBackend backend(timing, 1, 1);
   for (BlockKey key = 0; key < 1000; ++key) {
-    EXPECT_EQ(router.ShardOf(key), 0);
+    EXPECT_EQ(backend.ShardOf(key), 0);
   }
 }
 
-TEST(ShardRouter, StableAcrossRepeatedCalls) {
-  ShardRouter router(8);
+TEST(ShardMap, StableAcrossRepeatedCalls) {
+  TimingModel timing;
+  const StorageBackend backend(timing, 8, 1);
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) {
     const BlockKey key = rng.Next();
-    const int first = router.ShardOf(key);
-    EXPECT_EQ(router.ShardOf(key), first);
-    EXPECT_EQ(router.ShardOf(key), first);
+    const int first = backend.ShardOf(key);
+    EXPECT_EQ(backend.ShardOf(key), first);
+    EXPECT_EQ(backend.ShardOf(key), first);
   }
 }
 
-TEST(ShardRouter, EveryKeyLandsInRangeAcrossShardCounts) {
+TEST(ShardMap, EveryKeyLandsInRangeAcrossShardCounts) {
+  TimingModel timing;
   Rng rng(17);
   std::vector<BlockKey> keys;
   for (int i = 0; i < 2000; ++i) {
     keys.push_back(rng.Next());
   }
-  for (int count : {1, 2, 3, 8, ShardRouter::kMaxShards}) {
-    ShardRouter router(count);
+  for (int count : {1, 2, 3, 8, StorageBackend::kMaxShards}) {
+    const StorageBackend backend(timing, count, 1);
+    ASSERT_EQ(backend.num_shards(), count);
     for (BlockKey key : keys) {
-      const int shard = router.ShardOf(key);
+      const int shard = backend.ShardOf(key);
       ASSERT_GE(shard, 0);
       ASSERT_LT(shard, count);
     }
   }
 }
 
-TEST(ShardRouter, HashSpreadsSequentialKeysEvenly) {
+TEST(ShardMap, ShardCountOutsideOneToMaxIsRefused) {
+  TimingModel timing;
+  EXPECT_DEATH(StorageBackend(timing, 0, 1), "CHECK failed");
+  EXPECT_DEATH(StorageBackend(timing, StorageBackend::kMaxShards + 1, 1), "CHECK failed");
+}
+
+TEST(ShardMap, HashSpreadsSequentialKeysEvenly) {
   // Sequential block keys are the common trace shape; the map must not
   // funnel them onto a few shards. Accept ±20% of the ideal split.
   constexpr int kShards = 8;
   constexpr int kKeys = 80000;
-  ShardRouter router(kShards);
+  TimingModel timing;
+  const StorageBackend backend(timing, kShards, 1);
   std::vector<int> histogram(kShards, 0);
   for (BlockKey key = 0; key < kKeys; ++key) {
-    ++histogram[static_cast<size_t>(router.ShardOf(key))];
+    ++histogram[static_cast<size_t>(backend.ShardOf(key))];
   }
   const double ideal = static_cast<double>(kKeys) / kShards;
   for (int shard = 0; shard < kShards; ++shard) {
@@ -82,7 +90,7 @@ TEST(ShardSeed, ShardZeroReproducesLegacyFilerSeed) {
 TEST(ShardSeed, DistinctShardsGetDistinctSeeds) {
   for (uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
     std::vector<uint64_t> seeds;
-    for (int shard = 0; shard < ShardRouter::kMaxShards; ++shard) {
+    for (int shard = 0; shard < StorageBackend::kMaxShards; ++shard) {
       seeds.push_back(ShardSeed(seed, shard));
     }
     std::sort(seeds.begin(), seeds.end());
@@ -112,88 +120,83 @@ TEST(Backend, PerShardRngStreamsAreIndependent) {
   EXPECT_GT(divergences, 0) << "shard 1 mirrors shard 0's stream";
 }
 
-TEST(Backend, FactorySelectsSingleVsSharded) {
-  TimingModel timing;
-  auto single = MakeStorageBackend(timing, 1, 1);
-  EXPECT_EQ(single->num_shards(), 1);
-  EXPECT_NE(dynamic_cast<SingleFilerBackend*>(single.get()), nullptr);
-
-  auto sharded = MakeStorageBackend(timing, 4, 1);
-  EXPECT_EQ(sharded->num_shards(), 4);
-  EXPECT_NE(dynamic_cast<ShardedFilerBackend*>(sharded.get()), nullptr);
-}
-
 TEST(Backend, SingleFilerChannelRoutesEverythingToShardZero) {
   TimingModel timing;
-  auto backend = MakeStorageBackend(timing, 1, 1);
+  StorageBackend backend(timing, 1, 1);
   NetworkLink link(timing, 4096);
-  auto service = backend->Connect(link);
-  ASSERT_NE(service, nullptr);
-  EXPECT_EQ(service->num_shards(), 1);
+  StorageService service(link, backend);
+  EXPECT_EQ(service.num_shards(), 1);
   for (BlockKey key = 0; key < 100; ++key) {
-    EXPECT_EQ(service->ShardOf(key), 0);
+    EXPECT_EQ(service.ShardOf(key), 0);
   }
   bool fast = false;
-  service->Read(0, /*key=*/7, &fast);
-  service->Write(0, /*key=*/7);
-  EXPECT_EQ(backend->shard(0).reads(), 1u);
-  EXPECT_EQ(backend->shard(0).writes(), 1u);
+  service.Read(0, /*key=*/7, &fast);
+  service.Write(0, /*key=*/7);
+  EXPECT_EQ(backend.shard(0).reads(), 1u);
+  EXPECT_EQ(backend.shard(0).writes(), 1u);
 }
 
-TEST(Backend, ShardedChannelRoutesByRouter) {
+// Keyed reads and writes through a 4-shard channel land on exactly the
+// shards the backend's map names: each shard's load equals the ShardOf
+// tally over the keys sent.
+TEST(Backend, ShardLoadMatchesShardOfTally) {
   TimingModel timing;
   constexpr int kShards = 4;
-  auto backend = MakeStorageBackend(timing, kShards, 1);
+  StorageBackend backend(timing, kShards, 1);
   NetworkLink link(timing, 4096);
-  auto service = backend->Connect(link);
-  ASSERT_NE(service, nullptr);
-  EXPECT_EQ(service->num_shards(), kShards);
+  StorageService service(link, backend);
+  EXPECT_EQ(service.num_shards(), kShards);
 
   std::vector<uint64_t> expected_reads(kShards, 0);
   std::vector<uint64_t> expected_writes(kShards, 0);
-  for (BlockKey key = 0; key < 256; ++key) {
-    const int shard = backend->router().ShardOf(key);
-    EXPECT_EQ(service->ShardOf(key), shard);
-    bool fast = false;
-    service->Read(0, key, &fast);
-    ++expected_reads[static_cast<size_t>(shard)];
-    if (key % 3 == 0) {
-      service->Write(0, key);
+  Rng rng(23);
+  for (int i = 0; i < 1000; ++i) {
+    const BlockKey key = rng.Next();
+    const int shard = backend.ShardOf(key);
+    EXPECT_EQ(service.ShardOf(key), shard);
+    if (i % 3 == 0) {
+      service.Write(0, key);
       ++expected_writes[static_cast<size_t>(shard)];
+    } else {
+      bool fast = false;
+      service.Read(0, key, &fast);
+      ++expected_reads[static_cast<size_t>(shard)];
     }
   }
   for (int shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(backend->shard(shard).reads(), expected_reads[static_cast<size_t>(shard)])
+    EXPECT_GT(expected_reads[static_cast<size_t>(shard)], 0u) << shard;
+    EXPECT_GT(expected_writes[static_cast<size_t>(shard)], 0u) << shard;
+    EXPECT_EQ(backend.shard(shard).reads(), expected_reads[static_cast<size_t>(shard)])
         << shard;
-    EXPECT_EQ(backend->shard(shard).writes(), expected_writes[static_cast<size_t>(shard)])
+    EXPECT_EQ(backend.shard(shard).writes(), expected_writes[static_cast<size_t>(shard)])
         << shard;
   }
 }
 
 TEST(Backend, AggregatesEqualShardSums) {
   TimingModel timing;
-  auto backend = MakeStorageBackend(timing, 3, 9);
+  StorageBackend backend(timing, 3, 9);
   NetworkLink link(timing, 4096);
-  auto service = backend->Connect(link);
+  StorageService service(link, backend);
   for (BlockKey key = 0; key < 300; ++key) {
     bool fast = false;
-    service->Read(0, key, &fast);
-    service->Write(0, key);
+    service.Read(0, key, &fast);
+    service.Write(0, key);
   }
   uint64_t fast_sum = 0;
   uint64_t slow_sum = 0;
   uint64_t write_sum = 0;
-  for (int shard = 0; shard < backend->num_shards(); ++shard) {
-    fast_sum += backend->shard(shard).fast_reads();
-    slow_sum += backend->shard(shard).slow_reads();
-    write_sum += backend->shard(shard).writes();
+  for (int shard = 0; shard < backend.num_shards(); ++shard) {
+    fast_sum += backend.shard(shard).fast_reads();
+    slow_sum += backend.shard(shard).slow_reads();
+    write_sum += backend.shard(shard).writes();
   }
-  EXPECT_EQ(backend->fast_reads(), fast_sum);
-  EXPECT_EQ(backend->slow_reads(), slow_sum);
-  EXPECT_EQ(backend->reads(), fast_sum + slow_sum);
-  EXPECT_EQ(backend->writes(), write_sum);
-  EXPECT_EQ(backend->reads(), 300u);
-  EXPECT_EQ(backend->writes(), 300u);
+  EXPECT_EQ(backend.fast_reads(), fast_sum);
+  EXPECT_EQ(backend.slow_reads(), slow_sum);
+  EXPECT_EQ(backend.reads(), fast_sum + slow_sum);
+  EXPECT_EQ(backend.writes(), write_sum);
+  EXPECT_EQ(backend.reads(), 300u);
+  EXPECT_EQ(backend.writes(), 300u);
 }
 
 // Full sharded run with the invariant auditor armed: the per-shard metric

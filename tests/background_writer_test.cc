@@ -2,9 +2,8 @@
 // semantics, interleaving fairness with foreground reads.
 #include <gtest/gtest.h>
 
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/device/background_writer.h"
-#include "src/device/filer.h"
 #include "src/device/network_link.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
@@ -16,15 +15,15 @@ struct WriterRig {
   explicit WriterRig(int window) {
     timing.filer_fast_read_rate = 1.0;
     link = std::make_unique<NetworkLink>(timing, 4096, queue.clock());
-    filer = std::make_unique<Filer>(timing, 3);
-    remote = std::make_unique<RemoteStore>(*link, *filer);
+    backend = std::make_unique<StorageBackend>(timing, /*num_shards=*/1, /*base_seed=*/3);
+    remote = std::make_unique<StorageService>(*link, *backend);
     writer = std::make_unique<BackgroundWriter>(queue, *remote, nullptr, window);
   }
   TimingModel timing;
   EventQueue queue;
   std::unique_ptr<NetworkLink> link;
-  std::unique_ptr<Filer> filer;
-  std::unique_ptr<RemoteStore> remote;
+  std::unique_ptr<StorageBackend> backend;
+  std::unique_ptr<StorageService> remote;
   std::unique_ptr<BackgroundWriter> writer;
 };
 
@@ -127,7 +126,7 @@ TEST(BackgroundWriter, CountsStayConsistentUnderRandomLoad) {
   EXPECT_EQ(rig.writer->enqueued(), enqueued);
   EXPECT_EQ(rig.writer->completed(), enqueued);
   EXPECT_EQ(rig.writer->pending(), 0u);
-  EXPECT_EQ(rig.filer->writes(), enqueued);
+  EXPECT_EQ(rig.backend->writes(), enqueued);
 }
 
 TEST(BackgroundWriterDeathTest, RejectsZeroWindow) {

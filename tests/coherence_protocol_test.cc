@@ -24,11 +24,10 @@
 #include <vector>
 
 #include "src/arch/stack_factory.h"
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/consistency/coherence.h"
 #include "src/consistency/directory.h"
 #include "src/device/background_writer.h"
-#include "src/device/filer.h"
 #include "src/device/flash_device.h"
 #include "src/device/network_link.h"
 #include "src/device/ram_device.h"
@@ -54,12 +53,12 @@ class NetBridge : public ResidencyListener {
 };
 
 struct NetHost {
-  NetHost(Architecture arch, const TimingModel& timing, EventQueue& queue, Filer& filer,
-          Directory& directory, int host_id)
+  NetHost(Architecture arch, const TimingModel& timing, EventQueue& queue,
+          StorageBackend& backend, Directory& directory, int host_id)
       : ram_dev(timing),
         flash_dev(timing),
         link(timing, 4096, queue.clock()),
-        remote(link, filer),
+        remote(link, backend),
         writer(queue, remote, &flash_dev, timing.writeback_window),
         bridge(directory, host_id) {
     StackConfig config;
@@ -76,7 +75,7 @@ struct NetHost {
   RamDevice ram_dev;
   FlashDevice flash_dev;
   NetworkLink link;
-  RemoteStore remote;
+  StorageService remote;
   BackgroundWriter writer;
   NetBridge bridge;
   std::unique_ptr<CacheStack> stack;
@@ -87,8 +86,8 @@ struct NetHost {
 // copy drops.
 class NetFabric : public CoherenceTransport {
  public:
-  NetFabric(std::vector<std::unique_ptr<NetHost>>& hosts, Filer& filer)
-      : hosts_(&hosts), filer_(&filer) {}
+  NetFabric(std::vector<std::unique_ptr<NetHost>>& hosts, StorageBackend& backend)
+      : hosts_(&hosts), backend_(&backend) {}
 
   SimTime HostToFiler(int host, SimTime now, bool carries_data) override {
     return (*hosts_)[static_cast<size_t>(host)]->link.SendToFiler(now, carries_data);
@@ -97,8 +96,7 @@ class NetFabric : public CoherenceTransport {
     return (*hosts_)[static_cast<size_t>(host)]->link.SendToHost(now, carries_data);
   }
   SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
-    (void)key;
-    return filer_->ServeControl(arrival, service);
+    return backend_->shard(backend_->ShardOf(key)).ServeControl(arrival, service);
   }
   void DropCopy(int host, BlockKey key) override {
     (*hosts_)[static_cast<size_t>(host)]->stack->Invalidate(key);
@@ -112,16 +110,16 @@ class NetFabric : public CoherenceTransport {
 
  private:
   std::vector<std::unique_ptr<NetHost>>* hosts_;
-  Filer* filer_;
+  StorageBackend* backend_;
 };
 
 struct TestNet {
   TestNet(Architecture arch, CoherenceModel model, uint64_t seed)
-      : timing(MakeTiming()), filer(timing, Mix64(seed ^ 0xc0feULL)), directory(kHosts) {
+      : timing(MakeTiming()), backend(timing, /*num_shards=*/1, seed), directory(kHosts) {
     for (int h = 0; h < kHosts; ++h) {
-      hosts.push_back(std::make_unique<NetHost>(arch, timing, queue, filer, directory, h));
+      hosts.push_back(std::make_unique<NetHost>(arch, timing, queue, backend, directory, h));
     }
-    fabric = std::make_unique<NetFabric>(hosts, filer);
+    fabric = std::make_unique<NetFabric>(hosts, backend);
     CoherenceParams params;
     params.model = model;
     params.num_hosts = kHosts;
@@ -161,7 +159,7 @@ struct TestNet {
   // Devices keep references into the timing model; it must outlive them.
   TimingModel timing;
   EventQueue queue;
-  Filer filer;
+  StorageBackend backend;
   Directory directory;
   std::vector<std::unique_ptr<NetHost>> hosts;
   std::unique_ptr<NetFabric> fabric;

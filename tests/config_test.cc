@@ -4,7 +4,7 @@
 
 #include <limits>
 
-#include "src/backend/shard_router.h"
+#include "src/backend/storage_backend.h"
 #include "src/consistency/directory.h"
 
 namespace flashsim {
@@ -74,7 +74,7 @@ TEST(SimConfigDeathTest, ValidateRejectsBadShardCounts) {
   {
     // Shard counts above the router's map width are not representable.
     SimConfig config;
-    config.num_filers = ShardRouter::kMaxShards + 1;
+    config.num_filers = StorageBackend::kMaxShards + 1;
     EXPECT_DEATH(config.Validate(), "CHECK failed");
   }
 }
@@ -99,7 +99,7 @@ TEST(SimConfig, ValidateAcceptsFlashNoiseRange) {
 }
 
 TEST(SimConfig, ValidateAcceptsShardCountRange) {
-  for (int filers : {1, 2, ShardRouter::kMaxShards}) {
+  for (int filers : {1, 2, StorageBackend::kMaxShards}) {
     SimConfig config;
     config.num_filers = filers;
     config.Validate();  // must not abort

@@ -17,7 +17,7 @@
 #include "src/arch/stack_factory.h"
 #include "src/arch/subset_stack.h"
 #include "src/arch/unified_stack.h"
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/device/background_writer.h"
 #include "src/sim/event_queue.h"
 
@@ -41,8 +41,8 @@ class StackHarness {
                AdmissionPolicy admission = AdmissionPolicy::kAll) {
     timing_.filer_fast_read_rate = 1.0;  // deterministic reads
     link_ = std::make_unique<NetworkLink>(timing_, 4096, queue_.clock());
-    filer_ = std::make_unique<Filer>(timing_, 7);
-    remote_ = std::make_unique<RemoteStore>(*link_, *filer_);
+    backend_ = std::make_unique<StorageBackend>(timing_, /*num_shards=*/1, /*base_seed=*/7);
+    remote_ = std::make_unique<StorageService>(*link_, *backend_);
     ram_dev_ = std::make_unique<RamDevice>(timing_);
     flash_dev_ = std::make_unique<FlashDevice>(timing_);
     writer_ = std::make_unique<BackgroundWriter>(queue_, *remote_, flash_dev_.get(), 1);
@@ -57,7 +57,7 @@ class StackHarness {
   }
 
   CacheStack& stack() { return *stack_; }
-  Filer& filer() { return *filer_; }
+  Filer& filer() { return backend_->shard(0); }
   FlashDevice& flash_dev() { return *flash_dev_; }
   BackgroundWriter& writer() { return *writer_; }
   EventQueue& queue() { return queue_; }
@@ -77,8 +77,8 @@ class StackHarness {
   TimingModel timing_;
   EventQueue queue_;
   std::unique_ptr<NetworkLink> link_;
-  std::unique_ptr<Filer> filer_;
-  std::unique_ptr<RemoteStore> remote_;
+  std::unique_ptr<StorageBackend> backend_;
+  std::unique_ptr<StorageService> remote_;
   std::unique_ptr<RamDevice> ram_dev_;
   std::unique_ptr<FlashDevice> flash_dev_;
   std::unique_ptr<BackgroundWriter> writer_;
